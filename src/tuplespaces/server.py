@@ -61,6 +61,7 @@ class SpaceServer:
         self.host = host
         self.name = name
         self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
         self._conns: list[_Connection] = []
         self._conns_lock = threading.Lock()
         self._stopping = False
@@ -77,16 +78,27 @@ class SpaceServer:
         listener.listen(128)
         self.port = listener.getsockname()[1]
         self._listener = listener
-        threading.Thread(target=self._accept_loop, name=f"accept-{self.name}", daemon=True).start()
+        self._acceptor = threading.Thread(target=self._accept_loop, name=f"accept-{self.name}",
+                                          daemon=True)
+        self._acceptor.start()
         return self
 
     def stop(self) -> None:
         self._stopping = True
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, and the joined thread then releases the
+            # server and its space.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
                 pass
+        if self._acceptor is not None and self._acceptor is not threading.current_thread():
+            self._acceptor.join()
         with self._conns_lock:
             conns = list(self._conns)
             self._conns.clear()

@@ -2,15 +2,26 @@
 
 Layout mirrors a hash table of buckets: a tuple lands in the bucket keyed by
 (arity, first field) when its first field is a string, else (arity, None).
-Within a bucket tuples keep insertion order; selection across buckets is by
-global insertion stamp, so every probe returns the oldest match (FIFO).  That
-tie-break is a determinism choice: it makes the brute-force scan oracle exact.
+A bucket holds its entries in a dict keyed by global insertion stamp, so
+iteration is stamp order and removal is O(1).  Selection across buckets is
+by stamp too, so every probe returns the oldest match (FIFO).  That tie-break
+is a determinism choice: it makes the brute-force scan oracle exact.
+
+Each bucket also indexes field 1: for tuples whose field 1 is an int, str or
+bytes value, it maps that raw value to the stamps holding it.  A template
+with a literal of one of those tags at position 1 walks only that value's
+stamps.  Every other template (arity 1, or a wildcard, float or array at
+position 1) scans the whole bucket.  A template with a literal string head
+looks in that one bucket; any other head scans every bucket of its arity.
+Every candidate is still checked with ``match``, so an index entry never
+decides a match on its own.
 
 Blocking reads and takes register a waiter and park on a per-waiter event.
-No lock is held while parked, so an out on any bucket always proceeds.  When
-an out arrives it completes every matching non-destructive waiter and then at
-most one destructive waiter (the oldest registered), which consumes the tuple
-before it ever becomes visible to probes.
+No lock is held while parked, so an out on any bucket always proceeds.
+Parked waiters sit in one dict keyed by registration order (O(1) cancel).
+An out checks each of them: it completes every matching non-destructive
+waiter and then at most one destructive waiter (the oldest registered), which
+consumes the tuple before it ever becomes visible to probes.
 """
 
 from __future__ import annotations
@@ -19,12 +30,16 @@ import threading
 from typing import Callable, Optional
 
 from .errors import SpaceTimeout, WaiterCancelled
-from .tuples import LITERAL, STR, Template, Tuple, match
+from .tuples import BYTES, INT, LITERAL, STR, Template, Tuple, match
 
 # Waiter states.
 _PENDING = 0
 _SATISFIED = 1
 _CANCELLED = 2
+
+# Field-1 tags the bucket index keys on.  Floats and arrays stay out: NaN and
+# -0.0 defeat a lookup by raw value, and hashing arrays would tax every out.
+_INDEXED_TAGS = frozenset((INT, STR, BYTES))
 
 
 class Waiter:
@@ -65,14 +80,70 @@ class Waiter:
         return self._space.cancel_waiter(self)
 
 
+class _Bucket:
+    """One (arity, head) bucket: its entries and the field-1 index over them."""
+
+    __slots__ = ("entries", "by_field1")
+
+    def __init__(self):
+        self.entries: dict[int, Tuple] = {}  # stamp -> tuple, in stamp order
+        self.by_field1: dict = {}  # raw field-1 data -> ascending stamps
+
+    def add(self, stamp: int, tup: Tuple) -> None:
+        self.entries[stamp] = tup
+        key = _tuple_field1(tup)
+        if key is not None:
+            self.by_field1.setdefault(key, []).append(stamp)
+
+    def remove(self, stamp: int) -> None:
+        key = _tuple_field1(self.entries.pop(stamp))
+        if key is not None:
+            stamps = self.by_field1[key]
+            stamps.remove(stamp)
+            if not stamps:
+                del self.by_field1[key]
+
+    def candidates(self, field1):
+        """(stamp, tuple) pairs in stamp order that a template whose field-1
+        key is ``field1`` may match: one posting list, or every entry."""
+        if field1 is None:
+            return self.entries.items()
+        entries = self.entries
+        return ((s, entries[s]) for s in self.by_field1.get(field1, ()))
+
+    def first_match(self, tpl: Template, field1):
+        for stamp, tup in self.candidates(field1):
+            if match(tpl, tup):
+                return stamp, tup
+        return None
+
+
+def _tuple_field1(tup: Tuple):
+    """Index key of a tuple's field 1, or None when that field is not indexed."""
+    fields = tup.fields
+    if len(fields) > 1 and fields[1].tag in _INDEXED_TAGS:
+        return fields[1].data
+    return None
+
+
+def _template_field1(tpl: Template):
+    """Index key of a template's field 1: set only for an indexed literal."""
+    fields = tpl.fields
+    if len(fields) > 1:
+        f = fields[1]
+        if f.kind == LITERAL and f.tag in _INDEXED_TAGS:
+            return f.value.data
+    return None
+
+
 class LocalSpace:
     """An indexed concurrent multiset of tuples with blocking read/take."""
 
     def __init__(self, name: str = "local"):
         self.name = name
         self._lock = threading.Lock()
-        self._buckets: dict[tuple, list] = {}  # key -> list of (stamp, Tuple)
-        self._waiters: list[Waiter] = []
+        self._buckets: dict[tuple, _Bucket] = {}
+        self._waiters: dict[int, Waiter] = {}  # Waiter.order -> parked waiter
         self._stamp = 0
         self._order = 0
 
@@ -88,29 +159,46 @@ class LocalSpace:
         ar = tpl.arity
         first = tpl.fields[0]
         if first.kind == LITERAL and first.tag == STR:
-            # One literal-string bucket plus the non-string-headed bucket.
-            return [(ar, first.value.data), (ar, None)]
+            # Only tuples with this string head can match a string literal.
+            key = (ar, first.value.data)
+            return [key] if key in self._buckets else []
         return [k for k in self._buckets if k[0] == ar]
 
     def _find_earliest(self, tpl: Template):
-        """Earliest matching (stamp, key, index, tuple) or None.  Lock held."""
+        """Earliest matching (stamp, key, tuple) or None.  Lock held."""
+        field1 = _template_field1(tpl)
         best = None
         for key in self._candidate_keys(tpl):
-            bucket = self._buckets.get(key)
-            if not bucket:
-                continue
-            for idx, (stamp, tup) in enumerate(bucket):
-                if match(tpl, tup):
-                    if best is None or stamp < best[0]:
-                        best = (stamp, key, idx, tup)
-                    break  # bucket is stamp-ordered; first match is its earliest
+            found = self._buckets[key].first_match(tpl, field1)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (found[0], key, found[1])
         return best
 
-    def _remove_at(self, key, idx):
+    def _remove(self, key, stamp):
         bucket = self._buckets[key]
-        bucket.pop(idx)
-        if not bucket:
+        bucket.remove(stamp)
+        if not bucket.entries:
             del self._buckets[key]
+
+    def _take_waiters(self, tup: Tuple) -> tuple[list[Waiter], bool]:
+        """Deregister and satisfy the waiters an out of ``tup`` completes:
+        every matching reader, then the oldest matching taker.  Returns them
+        in that order and whether a taker consumed the tuple.  Lock held."""
+        done: list[Waiter] = []
+        taker: Optional[Waiter] = None
+        for w in self._waiters.values():  # registration order
+            if match(w.template, tup):
+                if not w.destructive:
+                    done.append(w)
+                elif taker is None:
+                    taker = w
+        if taker is not None:
+            done.append(taker)
+        for w in done:
+            del self._waiters[w.order]
+            w.state = _SATISFIED
+            w.result = tup
+        return done, taker is not None
 
     # -- operations -------------------------------------------------------
 
@@ -119,34 +207,17 @@ class LocalSpace:
         if not isinstance(tup, Tuple):
             raise TypeError("out expects a Tuple")
         to_complete: list[Waiter] = []
+        consumed = False
         with self._lock:
             self._stamp += 1
-            stamp = self._stamp
-            consumed = False
             if self._waiters:
-                survivors = []
-                taker: Optional[Waiter] = None
-                for w in self._waiters:
-                    if match(w.template, tup):
-                        if w.destructive:
-                            if taker is None:
-                                taker = w  # oldest registered destructive waiter
-                            else:
-                                survivors.append(w)
-                        else:
-                            w.state = _SATISFIED
-                            w.result = tup
-                            to_complete.append(w)
-                    else:
-                        survivors.append(w)
-                if taker is not None:
-                    taker.state = _SATISFIED
-                    taker.result = tup
-                    to_complete.append(taker)
-                    consumed = True
-                self._waiters = survivors
+                to_complete, consumed = self._take_waiters(tup)
             if not consumed:
-                self._buckets.setdefault(self.bucket_key(tup), []).append((stamp, tup))
+                key = self.bucket_key(tup)
+                bucket = self._buckets.get(key)
+                if bucket is None:
+                    bucket = self._buckets[key] = _Bucket()
+                bucket.add(self._stamp, tup)
         for w in to_complete:
             w.event.set()
             if w.on_complete is not None:
@@ -156,7 +227,7 @@ class LocalSpace:
         """Non-blocking read probe: oldest match or None; store unchanged."""
         with self._lock:
             found = self._find_earliest(tpl)
-            return found[3] if found else None
+            return found[2] if found else None
 
     def inp(self, tpl: Template) -> Optional[Tuple]:
         """Non-blocking take probe: atomically remove and return oldest match."""
@@ -164,15 +235,16 @@ class LocalSpace:
             found = self._find_earliest(tpl)
             if found is None:
                 return None
-            _, key, idx, tup = found
-            self._remove_at(key, idx)
+            stamp, key, tup = found
+            self._remove(key, stamp)
             return tup
 
     def count(self, tpl: Template) -> int:
         with self._lock:
+            field1 = _template_field1(tpl)
             total = 0
             for key in self._candidate_keys(tpl):
-                for _, tup in self._buckets.get(key, ()):
+                for _, tup in self._buckets[key].candidates(field1):
                     if match(tpl, tup):
                         total += 1
             return total
@@ -190,13 +262,13 @@ class LocalSpace:
             w = Waiter(self, tpl, destructive, on_complete, self._order)
             found = self._find_earliest(tpl)
             if found is not None:
-                _, key, idx, tup = found
+                stamp, key, tup = found
                 if destructive:
-                    self._remove_at(key, idx)
+                    self._remove(key, stamp)
                 w.state = _SATISFIED
                 w.result = tup
             else:
-                self._waiters.append(w)
+                self._waiters[w.order] = w
         if w.state == _SATISFIED:
             w.event.set()
             if on_complete is not None:
@@ -208,10 +280,7 @@ class LocalSpace:
             if w.state != _PENDING:
                 return False
             w.state = _CANCELLED
-            try:
-                self._waiters.remove(w)
-            except ValueError:
-                pass
+            del self._waiters[w.order]
         w.event.set()
         if w.on_complete is not None:
             w.on_complete(w)
@@ -236,10 +305,7 @@ class LocalSpace:
                 # Deregister under the lock: a racing out has either completed
                 # us already or never will.
                 w.state = _CANCELLED
-                try:
-                    self._waiters.remove(w)
-                except ValueError:
-                    pass
+                del self._waiters[w.order]
                 timed_out = True
         if w.state == _SATISFIED:
             # A destructive waiter satisfied during the timeout race consumed
@@ -253,12 +319,12 @@ class LocalSpace:
 
     def size(self) -> int:
         with self._lock:
-            return sum(len(b) for b in self._buckets.values())
+            return sum(len(b.entries) for b in self._buckets.values())
 
     def snapshot(self) -> list[Tuple]:
         """All stored tuples in global stamp order (diagnostic copy)."""
         with self._lock:
-            entries = [e for b in self._buckets.values() for e in b]
+            entries = [e for b in self._buckets.values() for e in b.entries.items()]
         entries.sort(key=lambda e: e[0])
         return [t for _, t in entries]
 
@@ -269,9 +335,10 @@ class LocalSpace:
     def check_wakeup_completeness(self) -> bool:
         """At quiescence no registered waiter may match a stored tuple."""
         with self._lock:
-            for w in self._waiters:
+            # A full bucket scan, so the check does not trust the field-1 index.
+            for w in self._waiters.values():
                 for key in self._candidate_keys(w.template):
-                    for _, tup in self._buckets.get(key, ()):
+                    for tup in self._buckets[key].entries.values():
                         if match(w.template, tup):
                             return False
             return True

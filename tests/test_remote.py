@@ -1,8 +1,10 @@
 """Server + client: semantics parity with LocalSpace, concurrency, cancel."""
 
+import gc
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -162,6 +164,20 @@ def test_address_in_use():
     with served_space() as (_, srv):
         with pytest.raises(AddressInUse):
             SpaceServer(LocalSpace(), port=srv.port).start()
+
+
+def test_stop_ends_accept_thread_and_releases_space():
+    before = set(threading.enumerate())
+    space = LocalSpace("leak")
+    server = SpaceServer(space, port=0, name="leak-check").start()
+    assert any(th.name == "accept-leak-check" for th in threading.enumerate())
+    server.stop()
+    assert not any(th.name == "accept-leak-check" for th in threading.enumerate())
+    assert set(threading.enumerate()) <= before
+    released = weakref.ref(space)
+    del space, server
+    gc.collect()
+    assert released() is None
 
 
 def test_version_mismatch_rejected_by_server():

@@ -1,5 +1,6 @@
 """LocalSpace semantics: FIFO, multiset, blocking, atomicity, index oracle."""
 
+import struct
 import threading
 import time
 
@@ -8,8 +9,11 @@ import pytest
 from tuplespaces import (
     ANY,
     INT,
+    STR,
     LocalSpace,
+    PatternField,
     SpaceTimeout,
+    Template,
     WaiterCancelled,
     make_tuple,
     template,
@@ -17,6 +21,7 @@ from tuplespaces import (
     wildcard,
 )
 from tuplespaces.rng import SplitMix64
+from tuplespaces.tuples import LITERAL
 
 from util import ShadowSpace, random_tuple, template_from_tuple
 
@@ -265,7 +270,7 @@ def test_cancelled_blocking_call_raises():
     while sp.pending_waiter_count() == 0 and time.time() < deadline:
         time.sleep(0.005)
     with sp._lock:
-        waiter = sp._waiters[0]
+        [waiter] = sp._waiters.values()
     assert sp.cancel_waiter(waiter)
     th.join(2)
     assert errs == ["cancelled"]
@@ -321,6 +326,94 @@ def test_index_transparency_scripts():
                 tpl = templates[rng.below(len(templates))]
                 assert sp.count(tpl) == shadow.count(tpl)
         assert sp.snapshot() == shadow.snapshot()
+
+
+def _collision_universe():
+    """Tuples whose position-1 values collide across tags, plus arity 1.
+
+    Each call builds fresh NaN objects, so a lookup keyed on the raw float
+    cannot succeed through object identity.
+    """
+    other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    heads = ["h", "k", 1, 2.5, b"h"]
+    seconds = [1, 1.0, -0.0, 0.0, float("nan"), other_nan, "1", b"1", [1], [1.0]]
+    tuples = [make_tuple(h) for h in heads]
+    for h in heads:
+        for x in seconds:
+            tuples.append(make_tuple(h, x))
+            tuples.append(make_tuple(h, x, "pad"))
+    return tuples
+
+
+def _collision_templates(rng, universe):
+    """Each tuple's position-1 literal under a literal, wildcard and ANY head,
+    plus random derivations."""
+    templates = []
+    for t in universe:
+        head = t.fields[0]
+        rest = [ANY] * (t.arity - 2)
+        for h in (PatternField(LITERAL, value=head), wildcard(head.tag), ANY):
+            if t.arity == 1:
+                templates.append(Template([h]))
+            else:
+                templates.append(Template([h, PatternField(LITERAL, value=t.fields[1])] + rest))
+        templates.append(template_from_tuple(rng, t))
+    return templates
+
+
+def test_field1_index_collisions_match_scan_oracle():
+    """Position-1 values that collide across tags (1, 1.0, -0.0, NaN, "1",
+    b"1", arrays) select exactly what a flat scan selects."""
+    rng = SplitMix64(11)
+    universe = _collision_universe()
+    templates = _collision_templates(rng, _collision_universe())
+    for script in range(60):
+        sp = LocalSpace()
+        shadow = ShadowSpace()
+        for _ in range(150):
+            op = rng.below(4)
+            if op == 0:
+                t = universe[rng.below(len(universe))]
+                sp.out(t)
+                shadow.out(t)
+                continue
+            tpl = templates[rng.below(len(templates))]
+            if op == 1:
+                assert sp.rdp(tpl) == shadow.rdp(tpl)
+            elif op == 2:
+                assert sp.inp(tpl) == shadow.inp(tpl)
+            else:
+                assert sp.count(tpl) == shadow.count(tpl)
+        assert sp.snapshot() == shadow.snapshot()
+
+
+@pytest.mark.parametrize("literal_first", [True, False])
+def test_out_wakes_oldest_taker_literal_and_wildcard_head(literal_first):
+    """Of a literal-head and a wildcard-head taker, the older one takes the
+    tuple and every matching reader is woken."""
+    sp = LocalSpace()
+    literal_tpl = template("job", ANY)
+    wild_tpl = template(wildcard(STR), ANY)
+    takers = {}
+    for tpl in ((literal_tpl, wild_tpl) if literal_first else (wild_tpl, literal_tpl)):
+        takers[tpl] = sp.register_waiter(tpl, destructive=True)
+    readers = [sp.register_waiter(literal_tpl, destructive=False),
+               sp.register_waiter(wild_tpl, destructive=False),
+               sp.register_waiter(template(ANY, 1), destructive=False)]
+    older, younger = (takers[literal_tpl], takers[wild_tpl]) if literal_first \
+        else (takers[wild_tpl], takers[literal_tpl])
+
+    sp.out(make_tuple("job", 1))
+    assert older.satisfied and older.result == make_tuple("job", 1)
+    assert not younger.satisfied
+    assert all(r.satisfied and r.result == make_tuple("job", 1) for r in readers)
+    assert sp.size() == 0
+    assert sp.pending_waiter_count() == 1
+    assert sp.check_wakeup_completeness()
+
+    sp.out(make_tuple("job", 2))
+    assert younger.satisfied and younger.result == make_tuple("job", 2)
+    assert sp.pending_waiter_count() == 0 and sp.size() == 0
 
 
 def test_conservation_serial():
