@@ -30,7 +30,6 @@ from .search import (
     PeerDirectory,
     SearchOutcome,
     SuccessStats,
-    decay_reset,
     search_notify,
     search_sequential,
     search_success_factor,
@@ -92,7 +91,6 @@ __all__ = [
     "Value",
     "VersionMismatch",
     "WaiterCancelled",
-    "decay_reset",
     "float_array",
     "int_array",
     "lit",

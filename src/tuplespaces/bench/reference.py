@@ -33,12 +33,6 @@ def partition_ranges(n: int, parts: int) -> list[tuple[int, int]]:
 
 # -- password ------------------------------------------------------------------
 
-def password_entry(i: int) -> tuple[str, str]:
-    """(hash, password) for database row i; password is the decimal string."""
-    pw = str(i)
-    return md5_hex(pw), pw
-
-
 def draw_task_indices(rng: SplitMix64, n: int, count: int) -> list[int]:
     """Seeded uniform draws with replacement from 0..n-1."""
     return [rng.below(n) for _ in range(count)]

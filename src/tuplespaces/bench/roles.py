@@ -7,8 +7,10 @@ memory between roles, which is the integrity constraint of the experiment.
 The handshake is the same for every case: each worker writes a READY tuple to
 the master, loads whatever data the case gives it, then writes a LOADED
 tuple.  The master consumes all READY tuples, then all LOADED tuples, and
-only then starts the total-runtime timer and publishes the run key, so
-initialization never pollutes the measured time.
+only then starts the total-runtime timer and publishes the run key, so worker
+start-up and loading stay out of the measured time.  The master's own input
+generation (sort's SplitMix64 array, matmul's A and B, password's task
+hashes) happens after that point and is measured.
 """
 
 from __future__ import annotations

@@ -8,12 +8,18 @@ below the threshold are sorted and shipped to the master, chunked when they
 would not fit a frame.  Completion is signalled in-band: one empty unsorted
 array per worker acts as the poison pill (a worker stops at its first pill,
 so pills cannot starve anyone), alongside the sort_complete notice.
+
+The master appends every run to one list as it arrives (chunked runs once
+reassembled) and sorts that list once: Timsort detects each ascending run and
+merges them in C, giving the same result as a k-way merge of the runs.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
+from itertools import islice
+from operator import le
+from typing import Sequence
 
 from ..rng import SplitMix64
 from ..tuples import INT, INT_ARRAY, int_array, make_tuple, template, wildcard
@@ -68,15 +74,15 @@ def run_master(h: RoleHandles) -> CaseResult:
     sorted_tpl = template(SORTED_NAME, wildcard(INT_ARRAY))
     part_tpl = template(SORTED_PART_NAME, wildcard(INT), wildcard(INT), wildcard(INT),
                         wildcard(INT_ARRAY))
-    runs: list[list[int]] = []
+    merged: list[int] = []
+    runs: list[Sequence[int]] = []  # kept to check, off the clock, that each ascends
     partial: dict[int, dict] = {}
-    total = 0
-    while total < n:
+    while len(merged) < n:
         got = h.probe_local_take(sorted_tpl)
         if got is not None:
-            run = list(got.fields[1].data)
+            run = got.fields[1].data
+            merged.extend(run)
             runs.append(run)
-            total += len(run)
             continue
         got = h.probe_local_take(part_tpl)
         if got is not None:
@@ -85,23 +91,26 @@ def run_master(h: RoleHandles) -> CaseResult:
             entry["parts"][got.fields[2].data] = got.fields[4].data
             if len(entry["parts"]) == entry["count"]:
                 run = [x for idx in range(entry["count"]) for x in entry["parts"][idx]]
+                merged.extend(run)
                 runs.append(run)
-                total += len(run)
                 del partial[run_id]
             continue
         h.remaining()  # raises DeadlineExceeded when the budget is gone
         time.sleep(h.cfg.poll_interval)
 
-    merged = list(heapq.merge(*runs))
+    merged.sort()
     for k in range(h.cfg.workers):
         h.out_remote(h.worker_remotes[k], make_tuple(SORT_COMPLETE_NAME))
         h.out_remote(h.worker_remotes[k], make_tuple(UNSORTED_NAME, int_array([])))
     master_stop_timer(h)
 
     expected = sorted(data)
+    total = len(merged)
     conserved = total == n
+    # The sort above would hide a worker that ships an unsorted run.
+    ascending = all(all(map(le, run, islice(run, 1, None))) for run in runs)
     return CaseResult(
-        correct=merged == expected and conserved,
+        correct=merged == expected and conserved and ascending,
         digest=digest_ints(merged),
         detail={"runs": len(runs), "elements": total, "conserved": conserved},
     )

@@ -248,10 +248,6 @@ def write_stats(path, stats: dict[str, MetricStats], group: dict | None = None) 
 _default = Collector()
 
 
-def default_collector() -> Collector:
-    return _default
-
-
 def set_process(name: str) -> None:
     _default.set_process(name)
 

@@ -80,10 +80,6 @@ class SuccessStats:
             self._factors.clear()
 
 
-def decay_reset(stats: SuccessStats) -> None:
-    stats.reset()
-
-
 @dataclass(frozen=True)
 class SearchOutcome:
     tuple: Tuple

@@ -15,6 +15,7 @@ validation, never to the store.
 from __future__ import annotations
 
 import struct
+from array import array
 from typing import Iterable, Sequence
 
 # Value tags (also the wire tags, see wire.py).
@@ -42,15 +43,6 @@ _INT64_MAX = (1 << 63) - 1
 _PACK_D = struct.Struct("<d")
 
 
-def _float_bits(x: float) -> int:
-    return int.from_bytes(_PACK_D.pack(x), "little")
-
-
-def _float_eq(a: float, b: float) -> bool:
-    # Bit-pattern equality: exact, total, deterministic.
-    return _PACK_D.pack(a) == _PACK_D.pack(b)
-
-
 class Value:
     """One typed tuple field.  Immutable by convention (never mutate)."""
 
@@ -63,24 +55,23 @@ class Value:
     def __eq__(self, other):
         if not isinstance(other, Value) or self.tag != other.tag:
             return NotImplemented if not isinstance(other, Value) else False
-        tag = self.tag
-        if tag == FLOAT:
-            return _float_eq(self.data, other.data)
-        if tag == FLOAT_ARRAY:
-            a, b = self.data, other.data
-            if len(a) != len(b):
-                return False
-            n = len(a)
-            return struct.pack(f"<{n}d", *a) == struct.pack(f"<{n}d", *b)
+        if self.tag == FLOAT or self.tag == FLOAT_ARRAY:
+            return self._float_bits() == other._float_bits()
         return self.data == other.data
 
     def __hash__(self):
         tag = self.tag
-        if tag == FLOAT:
-            return hash((tag, _float_bits(self.data)))
-        if tag == FLOAT_ARRAY:
-            return hash((tag, tuple(_float_bits(x) for x in self.data)))
+        if tag == FLOAT or tag == FLOAT_ARRAY:
+            return hash((tag, self._float_bits()))
         return hash((tag, self.data))
+
+    def _float_bits(self) -> bytes:
+        # The one equality key of FLOAT and FLOAT_ARRAY values, shared by
+        # __eq__ and __hash__: bit-pattern equality is exact, total and
+        # deterministic (arrays of different lengths pack to different sizes).
+        if self.tag == FLOAT:
+            return _PACK_D.pack(self.data)
+        return struct.pack(f"<{len(self.data)}d", *self.data)
 
     def __repr__(self):
         return f"Value({TAG_NAMES[self.tag]}, {self.data!r})"
@@ -110,6 +101,16 @@ def bytes_value(x: bytes) -> Value:
 
 def int_array(xs: Iterable[int]) -> Value:
     data = tuple(xs)
+    # Whole-sequence check in C: exactly-int elements that all fit int64.
+    # Anything else (bools, floats, int subclasses, out-of-range values)
+    # takes the per-element loop, which accepts or raises as before.
+    if set(map(type, data)) <= {int}:
+        try:
+            array("q", data)
+        except OverflowError:
+            pass
+        else:
+            return Value(INT_ARRAY, data)
     for x in data:
         if isinstance(x, bool) or not isinstance(x, int):
             raise TypeError("int_array elements must be plain ints")

@@ -113,6 +113,27 @@ def test_sort_chunked_runs_reassembled(tmp_path, monkeypatch):
     assert r.detail["elements"] == 120
 
 
+def test_sort_duplicates_and_int64_extremes(tmp_path, monkeypatch):
+    lo, hi = -(2**63), 2**63 - 1
+    data = [(i * 7) % 5 - 2 for i in range(90)] + [hi, lo] * 15
+    monkeypatch.setattr(sorting_mod, "sort_input", lambda rng, n: list(data))
+    cfg = BenchConfig(case="sort", workers=2, size=len(data), sort_threshold=16,
+                      reps=1, seed=0, deadline=30)
+    r = run_one(cfg, tmp_path=tmp_path)
+    assert r.detail["runs"] >= 4
+    assert r.correct and r.digest == digest_ints(sorted(data))
+
+
+def test_sort_unsorted_run_fails_the_oracle(tmp_path, monkeypatch):
+    send = sorting_mod.send_sorted_run
+    monkeypatch.setattr(sorting_mod, "send_sorted_run",
+                        lambda h, run, cap=None: send(h, run[::-1], cap))
+    cfg = BenchConfig(case="sort", workers=1, size=64, sort_threshold=16, reps=1,
+                      seed=3, deadline=30)
+    r = run_one(cfg, tmp_path=tmp_path)
+    assert r.detail["conserved"] and not r.correct
+
+
 def test_sort_single_worker_visited_formula(tmp_path):
     # N=1000, T=100: ten leaves per the halving chain -> 10 + 1 pill searches
     cfg = BenchConfig(case="sort", workers=1, size=1000, sort_threshold=100,

@@ -12,7 +12,6 @@ from tuplespaces import (
     LocalSpace,
     PeerDirectory,
     SuccessStats,
-    decay_reset,
     make_tuple,
     search_notify,
     search_sequential,
@@ -131,9 +130,9 @@ def test_decay_reset():
     stats = SuccessStats()
     stats.update(0, True)
     stats.update(1, False)
-    decay_reset(stats)
+    stats.reset()
     assert stats.factor(0) == 0.5 and stats.factor(1) == 0.5
-    decay_reset(stats)  # idempotent
+    stats.reset()  # idempotent
     assert stats.order(3) == [0, 1, 2]
 
 

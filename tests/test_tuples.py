@@ -1,6 +1,8 @@
 """Matching relation: spec examples, invariants, float bit semantics."""
 
 import math
+import struct
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -77,6 +79,43 @@ def test_int64_range_enforced():
         make_tuple(2**63)
     with pytest.raises(ValueError):
         int_array([0, 2**63])
+
+
+def test_int_array_rejects_bad_last_element_of_long_list():
+    head = list(range(-5000, 5000))
+    for bad, exc in ((True, TypeError), (1.0, TypeError),
+                     (2**63, ValueError), (-(2**63) - 1, ValueError)):
+        with pytest.raises(exc):
+            int_array(head + [bad])
+
+
+def test_int_array_accepts_int64_bounds_and_int_subclasses():
+    class Level(IntEnum):
+        HIGH = 7
+
+    assert int_array([-(2**63), 0, 2**63 - 1]).data == (-(2**63), 0, 2**63 - 1)
+    assert int_array([1, Level.HIGH]).data == (1, 7)
+    assert int_array([]).data == ()
+
+
+def _nan(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+def test_float_values_hash_as_they_compare():
+    a = float_array([1.5, _nan(1)])
+    b = float_array([1.5, _nan(1)])
+    assert a == b and hash(a) == hash(b)
+    assert Value(FLOAT, _nan(1)) == Value(FLOAT, _nan(1))
+    assert hash(Value(FLOAT, _nan(1))) == hash(Value(FLOAT, _nan(1)))
+    assert float_array([0.0]) != float_array([-0.0])
+    assert float_array([_nan(1)]) != float_array([_nan(2)])
+    assert float_array([1.0]) != float_array([1.0, 1.0])
+    members = {a, b, float_array([0.0]), float_array([-0.0]),
+               float_array([_nan(1)]), float_array([_nan(2)])}
+    assert len(members) == 5
+    assert float_array([-0.0]) in members and float_array([_nan(2)]) in members
+    assert float_array([_nan(3)]) not in members
 
 
 def test_value_coercion_rules():
