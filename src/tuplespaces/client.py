@@ -5,12 +5,23 @@ strictly increasing request id and replies are correlated by it, so blocking
 reads and fast probes coexist on the same socket without queueing behind each
 other.  The handle is safe for concurrent use from multiple threads.
 
+Replies are read by the callers themselves (Leader/Followers, Schmidt et al.,
+PLoP 2000).  At most one thread reads the socket at a time, the leader.  It
+completes whichever pending request each frame belongs to and, once its own
+reply is in, steps down so that one of the threads still waiting (the
+followers) takes over.  A caller alone on its handle therefore reads its own
+reply, with no hand-off to another thread.  `rd_async` legs with an `on_done`
+callback have no caller to read for them: the first such leg starts one
+reader thread per handle, which takes the reading role only while callback
+legs are outstanding and no caller holds it.
+
 Operation semantics mirror LocalSpace exactly; see store.py.
 """
 
 from __future__ import annotations
 
 import math
+import select
 import socket
 import threading
 import time
@@ -41,29 +52,38 @@ class NodeAddress:
 
 CONNECT_ATTEMPTS = 5
 CONNECT_RETRY_DELAY = 0.2
+# Bytes asked of one recv call, unless the frame being read needs more.  Small
+# calls keep memory low (64 KiB raised matmul's peak RSS by about 0.4 MB); a
+# large frame is read in calls as large as its missing part, because every
+# recv call releases and re-takes the interpreter lock.
+RECV_SIZE = 8 * 1024
 
 
 class PendingReply:
-    """An in-flight request; completed exactly once by the reader thread."""
+    """An in-flight request; completed exactly once by whichever thread reads its reply."""
 
-    __slots__ = ("request_id", "event", "kind", "payload", "on_done")
+    __slots__ = ("request_id", "kind", "payload", "on_done", "_space")
 
-    def __init__(self, request_id: int, on_done=None):
+    def __init__(self, space: "RemoteSpace", request_id: int, on_done=None):
         self.request_id = request_id
-        self.event = threading.Event()
         self.kind = None  # 'tuple' | 'none' | 'err' | 'count' | 'lost'
         self.payload = None
         self.on_done = on_done
-
-    def complete(self, kind: str, payload) -> None:
-        self.kind = kind
-        self.payload = payload
-        self.event.set()
-        if self.on_done is not None:
-            self.on_done(self)
+        self._space = space
 
     def wait(self, timeout: float | None = None) -> bool:
-        return self.event.wait(timeout)
+        """True once the reply is in; False when `timeout` seconds pass first.
+
+        The waiting thread may read the connection meanwhile, completing
+        other requests' replies as they arrive.
+        """
+        return self._space._await(self, timeout)
+
+
+def _run_callbacks(pending: list[PendingReply]) -> None:
+    for p in pending:
+        if p.on_done is not None:
+            p.on_done(p)
 
 
 def _timeout_to_ms(timeout: float | None) -> int:
@@ -81,16 +101,23 @@ class RemoteSpace:
         self.address = address
         self.client_name = client_name
         self._sock = sock
-        self._file = sock.makefile("rb")
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
+        self._rbuf = bytearray()  # received bytes not yet split into frames
         self._send_lock = threading.Lock()
-        self._plock = threading.Lock()
+        # _lock guards everything below.  _turn wakes followers when a reply
+        # lands or the reading role frees up; _legs_due wakes the callback
+        # reader only when it may have to read, not on every reply.
+        self._lock = threading.Lock()
+        self._turn = threading.Condition(self._lock)
+        self._legs_due = threading.Condition(self._lock)
         self._pending: dict[int, PendingReply] = {}
         self._next_id = 1
+        self._reading = False
+        self._callback_legs = 0
+        self._callback_reader: threading.Thread | None = None
+        self._lost: ConnectionLost | None = None
         self._closed = False
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"reader-{address.host}:{address.port}", daemon=True
-        )
-        self._reader.start()
 
     # -- connection -------------------------------------------------------
 
@@ -111,21 +138,17 @@ class RemoteSpace:
             raise Unreachable(f"cannot reach {address} after {attempts} attempts: {last_err}")
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        space = cls(sock, address, client_name)
         try:
-            cls._handshake(sock, client_name)
-        except Exception:
-            sock.close()
+            space._handshake()
+        except BaseException:
+            space.close()
             raise
-        return cls(sock, address, client_name)
+        return space
 
-    @staticmethod
-    def _handshake(sock: socket.socket, client_name: str) -> None:
-        sock.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello(client_name)))
-        f = sock.makefile("rb")
-        frame = wire.read_frame(f)
-        if frame is None:
-            raise ConnectionLost("server closed during handshake")
-        msg_type, _, body = frame
+    def _handshake(self) -> None:
+        self._sock.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello(self.client_name)))
+        msg_type, _, body = self._recv_frame(None)
         if msg_type == wire.MSG_REPLY_ERR:
             code, msg = wire.unpack_err(body)
             raise VersionMismatch(f"server rejected handshake: {msg}")
@@ -136,80 +159,165 @@ class RemoteSpace:
             raise VersionMismatch(f"server speaks version {version}, want {wire.PROTOCOL_VERSION}")
 
     def close(self) -> None:
-        with self._plock:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
+            self._lost = ConnectionLost(f"connection to {self.address} is closed")
+            failed = self._settle_all(self._lost)
+            # A thread reading the socket closes it when it steps down, so its
+            # descriptor is never closed (and reused) under a blocked recv.
+            release = not self._reading
+            reader = self._callback_reader
+            self._legs_due.notify()
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes a reader blocked in recv
         except OSError:
             pass
-        try:
-            self._file.close()  # releases the fd the reader's makefile pins
-        except OSError:
-            pass
-        self._sock.close()
-        self._fail_pending(ConnectionLost("connection closed"))
+        if release:
+            self._sock.close()
+        _run_callbacks(failed)
+        if reader is not None and reader is not threading.current_thread():
+            reader.join()
 
-    # -- plumbing ---------------------------------------------------------
+    # -- reading: leader/followers ------------------------------------------
 
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                frame = wire.read_frame(self._file)
-                if frame is None:
-                    break
-                msg_type, request_id, body = frame
-                with self._plock:
-                    pending = self._pending.pop(request_id, None)
-                if pending is None:
-                    continue  # late reply for a request we already resolved
-                if msg_type == wire.MSG_REPLY_TUPLE:
-                    pending.complete("tuple", wire.decode_tuple(body))
-                elif msg_type == wire.MSG_REPLY_NONE:
-                    pending.complete("none", None)
-                elif msg_type == wire.MSG_REPLY_ERR:
-                    pending.complete("err", wire.unpack_err(body))
-                elif msg_type == wire.MSG_COUNT_REPLY:
-                    pending.complete("count", wire.unpack_count_reply(body))
+    def _await(self, pending: PendingReply, timeout: float | None) -> bool:
+        """Wait for `pending`'s reply, reading the socket whenever nobody else is."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._lock:
+            while pending.kind is None and self._reading:
+                if deadline is None:
+                    self._turn.wait()
                 else:
-                    pending.complete("err", (wire.ERR_MALFORMED, f"unexpected reply type {msg_type}"))
-        except (OSError, ValueError, MalformedFrame):
-            pass
-        try:
-            self._file.close()
-        except OSError:
-            pass
-        self._fail_pending(ConnectionLost(f"connection to {self.address} lost"))
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                    self._turn.wait(remaining)
+            if pending.kind is not None:
+                return True
+            self._reading = True
+        return self._lead(lambda: pending.kind is not None, deadline)
 
-    def _fail_pending(self, exc: Exception) -> None:
-        with self._plock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for p in pending:
-            p.complete("lost", exc)
+    def _serve_callbacks(self) -> None:
+        """Callback reader: reads while callback legs are outstanding and no caller does."""
+        while True:
+            with self._lock:
+                while not self._closed and (self._reading or not self._callback_legs):
+                    self._legs_due.wait()
+                if self._closed:
+                    return
+                self._reading = True
+            self._lead(lambda: not self._callback_legs, None)
+
+    def _lead(self, done, deadline: float | None) -> bool:
+        """Hold the reading role until done() holds; False when deadline passes first."""
+        try:
+            while not done():
+                frame = self._recv_frame(deadline)
+                if frame is None:
+                    return False
+                self._deliver(*frame)
+            return True
+        except (OSError, ValueError, MalformedFrame, ConnectionLost):
+            with self._lock:
+                if self._lost is None:
+                    self._lost = ConnectionLost(f"connection to {self.address} lost")
+                failed = self._settle_all(self._lost)
+            _run_callbacks(failed)
+            return True
+        finally:
+            with self._lock:
+                self._reading = False
+                release = self._closed
+                self._turn.notify_all()
+                if self._callback_legs:
+                    self._legs_due.notify()
+            if release:
+                self._sock.close()
+
+    def _recv_frame(self, deadline: float | None) -> tuple[int, int, bytes] | None:
+        """Next frame off the socket; None when deadline passes first."""
+        buf = self._rbuf
+        while (frame := wire.pop_frame(buf)) is None:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not self._poll.poll(math.ceil(remaining * 1000.0)):
+                    return None
+            chunk = self._sock.recv(max(RECV_SIZE, wire.frame_size(buf) - len(buf)))
+            if not chunk:
+                raise ConnectionLost(f"connection to {self.address} closed by the server")
+            buf += chunk
+        return frame
+
+    def _deliver(self, msg_type: int, request_id: int, body: bytes) -> None:
+        if msg_type == wire.MSG_REPLY_TUPLE:
+            kind, payload = "tuple", wire.decode_tuple(body)
+        elif msg_type == wire.MSG_REPLY_NONE:
+            kind, payload = "none", None
+        elif msg_type == wire.MSG_REPLY_ERR:
+            kind, payload = "err", wire.unpack_err(body)
+        elif msg_type == wire.MSG_COUNT_REPLY:
+            kind, payload = "count", wire.unpack_count_reply(body)
+        else:
+            kind, payload = "err", (wire.ERR_MALFORMED, f"unexpected reply type {msg_type}")
+        with self._lock:
+            pending = self._pending.pop(request_id, None)
+            if pending is None:
+                return  # its request already failed (send error or lost connection)
+            self._settle(pending, kind, payload)
+            self._turn.notify_all()
+        if pending.on_done is not None:
+            pending.on_done(pending)
+
+    def _settle(self, pending: PendingReply, kind: str, payload) -> None:
+        """Record a reply; the caller holds _lock, wakes the waiters and runs on_done."""
+        pending.kind = kind
+        pending.payload = payload
+        if pending.on_done is not None:
+            self._callback_legs -= 1
+
+    def _settle_all(self, exc: ConnectionLost) -> list[PendingReply]:
+        """Fail every pending request; the caller holds _lock and runs their callbacks."""
+        failed = list(self._pending.values())
+        self._pending.clear()
+        for p in failed:
+            self._settle(p, "lost", exc)
+        self._turn.notify_all()
+        return failed
+
+    # -- requests -----------------------------------------------------------
 
     def _submit(self, msg_type: int, body: bytes, on_done=None) -> PendingReply:
-        with self._plock:
-            if self._closed:
-                raise ConnectionLost(f"connection to {self.address} is closed")
+        with self._lock:
+            if self._lost is not None:
+                raise ConnectionLost(*self._lost.args)
             request_id = self._next_id
             self._next_id += 1
-            pending = PendingReply(request_id, on_done)
+            pending = PendingReply(self, request_id, on_done)
             self._pending[request_id] = pending
+            if on_done is not None:
+                self._callback_legs += 1
+                if self._callback_reader is None:
+                    self._callback_reader = threading.Thread(
+                        target=self._serve_callbacks,
+                        name=f"reader-{self.address.host}:{self.address.port}", daemon=True)
+                    self._callback_reader.start()
+                else:
+                    self._legs_due.notify()
         frame = wire.build_frame(msg_type, request_id, body)
         try:
             with self._send_lock:
                 self._sock.sendall(frame)
         except OSError as e:
-            with self._plock:
-                self._pending.pop(request_id, None)
+            with self._lock:
+                if self._pending.pop(request_id, None) is not None and on_done is not None:
+                    self._callback_legs -= 1
             raise ConnectionLost(f"send to {self.address} failed: {e}") from None
         return pending
 
-    @staticmethod
-    def _resolve(pending: PendingReply):
-        pending.wait()
+    def _resolve(self, pending: PendingReply):
+        self._await(pending, None)
         kind = pending.kind
         if kind == "tuple":
             return pending.payload
@@ -257,12 +365,21 @@ class RemoteSpace:
     # -- async variants (broadcast-notify search) ---------------------------
 
     def rd_async(self, tpl: Template, timeout: float | None = None, on_done=None) -> PendingReply:
-        """Issue a blocking RD without waiting; pair with cancel()."""
+        """Issue a blocking RD without waiting; pair with cancel().
+
+        `on_done(pending)` runs exactly once, on whichever thread reads the
+        reply, so it must be quick and must not raise.
+        """
         ms = _timeout_to_ms(timeout)
         return self._submit(wire.MSG_RD, wire.pack_blocking(ms, tpl), on_done=on_done)
 
     def cancel(self, pending: PendingReply) -> None:
-        """Best-effort deregistration of a blocking request on the server."""
+        """Best-effort deregistration of a blocking request on the server.
+
+        Sends nothing once the reply is in: there is nothing left to cancel.
+        """
+        if pending.kind is not None:
+            return
         try:
             with self._send_lock:
                 self._sock.sendall(wire.build_frame(wire.MSG_CANCEL, pending.request_id))

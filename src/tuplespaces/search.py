@@ -102,7 +102,9 @@ def _probe(space, tpl: Template, destructive: bool, label: str):
 
 def _poll_search(directory: PeerDirectory, tpl: Template, destructive: bool,
                  poll_interval: float, deadline: float | None,
-                 peer_order) -> SearchOutcome:
+                 stats: SuccessStats | None = None) -> SearchOutcome:
+    """Polling rounds; peers in directory order, or by descending factor with `stats`."""
+    n_peers = len(directory.peers)
     start = time.perf_counter()
     profiler.begin(SEARCH)
     visited = 0
@@ -118,16 +120,15 @@ def _poll_search(directory: PeerDirectory, tpl: Template, destructive: bool,
                 profiler.inc_counter(NODE_VISITED)
             got = _probe(directory.local, tpl, destructive, READ_LOCAL)
             if got is None:
-                for idx in peer_order():
+                for idx in range(n_peers) if stats is None else stats.order(n_peers):
                     visited += 1
                     if counting:
                         first_round += 1
                         profiler.inc_counter(NODE_VISITED)
                     got = _probe(directory.peers[idx], tpl, destructive, READ_REMOTE)
                     hit = got is not None
-                    update = peer_order.update
-                    if update is not None:
-                        update(idx, hit)
+                    if stats is not None:
+                        stats.update(idx, hit)
                     if hit:
                         break
             if got is not None:
@@ -147,42 +148,11 @@ def _poll_search(directory: PeerDirectory, tpl: Template, destructive: bool,
         raise
 
 
-class _FixedOrder:
-    """Directory-order probing; no factor updates."""
-
-    __slots__ = ("n",)
-    update = None
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __call__(self):
-        return range(self.n)
-
-
-class _FactorOrder:
-    """Descending-success-factor probing with per-probe updates."""
-
-    __slots__ = ("n", "stats")
-
-    def __init__(self, n: int, stats: SuccessStats):
-        self.n = n
-        self.stats = stats
-
-    def __call__(self):
-        return self.stats.order(self.n)
-
-    @property
-    def update(self):
-        return self.stats.update
-
-
 def search_sequential(directory: PeerDirectory, tpl: Template, destructive: bool = False,
                       poll_interval: float = DEFAULT_POLL_INTERVAL,
                       deadline: float | None = None) -> SearchOutcome:
     """Polling search in fixed order: local space, then peers by index."""
-    return _poll_search(directory, tpl, destructive, poll_interval, deadline,
-                        _FixedOrder(len(directory.peers)))
+    return _poll_search(directory, tpl, destructive, poll_interval, deadline)
 
 
 def search_success_factor(directory: PeerDirectory, stats: SuccessStats, tpl: Template,
@@ -190,8 +160,7 @@ def search_success_factor(directory: PeerDirectory, stats: SuccessStats, tpl: Te
                           poll_interval: float = DEFAULT_POLL_INTERVAL,
                           deadline: float | None = None) -> SearchOutcome:
     """Polling search probing peers with greater success factor first."""
-    return _poll_search(directory, tpl, destructive, poll_interval, deadline,
-                        _FactorOrder(len(directory.peers), stats))
+    return _poll_search(directory, tpl, destructive, poll_interval, deadline, stats)
 
 
 def search_notify(directory: PeerDirectory, tpl: Template,

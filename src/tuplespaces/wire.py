@@ -254,6 +254,36 @@ def read_frame(stream) -> tuple[int, int, bytes] | None:
     return msg_type, request_id, payload[9:]
 
 
+def frame_size(buf) -> int:
+    """Size of the frame at the front of a receive buffer, prefix included.
+
+    0 until the four length bytes are in; a length that read_frame would
+    reject raises MalformedFrame as soon as they are.
+    """
+    if len(buf) < 4:
+        return 0
+    (length,) = _U32.unpack_from(buf)
+    if length < HEADER_LEN or length > MAX_FRAME:
+        raise MalformedFrame(f"bad frame length {length}")
+    return 4 + length
+
+
+def pop_frame(buf: bytearray) -> tuple[int, int, bytes] | None:
+    """Remove one frame from the front of a receive buffer and return it.
+
+    None while the buffer holds no complete frame (see frame_size).
+    """
+    end = frame_size(buf)
+    if not end or len(buf) < end:
+        return None
+    msg_type = buf[4]
+    (request_id,) = _U64.unpack_from(buf, 5)
+    with memoryview(buf) as view:
+        body = bytes(view[13:end])
+    del buf[:end]
+    return msg_type, request_id, body
+
+
 # -- body helpers ------------------------------------------------------------
 
 def pack_hello(name: str, version: int = PROTOCOL_VERSION) -> bytes:

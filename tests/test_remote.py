@@ -2,6 +2,7 @@
 
 import gc
 import socket
+import sys
 import threading
 import time
 import weakref
@@ -365,3 +366,256 @@ def test_script_equivalence_small():
                     except SpaceTimeout:
                         pass
                     assert a == b
+
+
+def test_cancel_after_reply_sends_nothing(monkeypatch):
+    cancels = []
+    original = SpaceServer._cancel
+
+    def recording(self, conn, request_id):
+        cancels.append(request_id)
+        original(self, conn, request_id)
+
+    monkeypatch.setattr(SpaceServer, "_cancel", recording)
+    with served_space() as (space, srv), connected(srv) as cl:
+        space.out(make_tuple("won"))
+        won = cl.rd_async(template("won"), timeout=None)
+        assert won.wait(3) and won.kind == "tuple"
+        cl.cancel(won)
+        cl.rdp(template("won"))  # frames are served in order: a CANCEL would be in
+        assert cancels == []
+        parked = cl.rd_async(template("never"), timeout=None)
+        cl.cancel(parked)
+        assert parked.wait(3) and parked.kind == "none"
+        assert cancels == [parked.request_id]
+
+
+def test_threads_sharing_a_handle_each_get_their_own_reply():
+    """Callers on one handle take turns reading; a frame never reaches the wrong caller."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with served_space() as (space, srv), connected(srv) as cl:
+            parked = []
+            parker = threading.Thread(target=lambda: parked.append(cl.rd(template("late", ANY))))
+            parker.start()
+            errors = []
+            done_calls = []
+
+            def worker(i):
+                try:
+                    for n in range(60):
+                        tup = make_tuple("own", i, n)
+                        mine = template("own", i, n)
+                        cl.out(tup)
+                        assert cl.rdp(mine) == tup
+                        assert cl.count(template("own", i, ANY)) == 1
+                        assert cl.inp(mine) == tup
+                        assert cl.rdp(mine) is None
+                        if n % 10 == 0:
+                            leg = cl.rd_async(template("never", i, n), timeout=None,
+                                              on_done=done_calls.append)
+                            cl.cancel(leg)
+                            assert leg.wait(5) and leg.kind == "none"
+                except BaseException as e:  # reported below, outside the thread
+                    errors.append(e)
+                    raise
+
+            workers = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for th in workers:
+                th.start()
+            for th in workers:
+                th.join(30)
+            assert not any(th.is_alive() for th in workers)
+            assert errors == []
+            assert len(done_calls) == 6 * 6 and len(set(map(id, done_calls))) == 6 * 6
+            space.out(make_tuple("late", 1))
+            parker.join(5)
+            assert not parker.is_alive()
+            assert parked == [make_tuple("late", 1)]
+            assert space.size() == 1
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_follower_reads_on_after_the_leader_steps_down():
+    """The reader's own reply arrives first; the caller still waiting takes over."""
+    with served_space() as (space, srv), connected(srv) as cl:
+        first = cl.rd_async(template("first"), timeout=None)
+        waited = []
+        leader = threading.Thread(target=lambda: waited.append(first.wait(5)))
+        leader.start()
+        time.sleep(0.05)  # the leader now blocks reading the socket
+        got = []
+        follower = threading.Thread(target=lambda: got.append(cl.rd(template("second"), timeout=5)))
+        follower.start()
+        time.sleep(0.05)
+        space.out(make_tuple("first"))
+        leader.join(5)
+        assert waited == [True] and first.kind == "tuple"
+        space.out(make_tuple("second"))
+        follower.join(5)
+        assert not follower.is_alive()
+        assert got == [make_tuple("second")]
+        # A leader whose timed wait runs out hands over too.
+        never = cl.rd_async(template("never"), timeout=None)
+        leader = threading.Thread(target=lambda: waited.append(never.wait(0.2)))
+        leader.start()
+        time.sleep(0.05)
+        follower = threading.Thread(target=lambda: got.append(cl.rd(template("third"), timeout=5)))
+        follower.start()
+        leader.join(5)
+        assert waited == [True, False]
+        time.sleep(0.05)
+        space.out(make_tuple("third"))
+        follower.join(5)
+        assert not follower.is_alive()
+        assert got == [make_tuple("second"), make_tuple("third")]
+
+
+def test_callback_reader_takes_over_when_a_caller_steps_down():
+    with served_space() as (space, srv), connected(srv) as cl:
+        first = cl.rd_async(template("first"), timeout=None)
+        waited = []
+        caller = threading.Thread(target=lambda: waited.append(first.wait(5)))
+        caller.start()
+        time.sleep(0.05)  # the caller now holds the reading role
+        called = threading.Event()
+        leg = cl.rd_async(template("leg"), timeout=None, on_done=lambda p: called.set())
+        time.sleep(0.05)  # the callback reader now waits for the role
+        space.out(make_tuple("first"))
+        caller.join(5)
+        assert waited == [True]
+        space.out(make_tuple("leg"))
+        assert called.wait(2)
+        assert leg.kind == "tuple"
+        time.sleep(0.05)  # no legs left: the callback reader is idle
+        called.clear()
+        leg = cl.rd_async(template("leg2"), timeout=None, on_done=lambda p: called.set())
+        space.out(make_tuple("leg2"))
+        assert called.wait(2)
+        assert leg.kind == "tuple"
+
+
+def test_close_fails_every_outstanding_request_while_one_reads():
+    with served_space() as (_, srv):
+        cl = RemoteSpace.connect(NodeAddress("127.0.0.1", srv.port, srv.name))
+        errors = []
+        callbacks = []
+
+        def blocked(tpl):
+            try:
+                cl.in_(tpl)
+            except ConnectionLost as e:
+                errors.append(e)
+
+        callers = [threading.Thread(target=blocked, args=(template("never", i),))
+                   for i in range(3)]
+        for th in callers:
+            th.start()
+        legs = [cl.rd_async(template("nor", i), timeout=None, on_done=callbacks.append)
+                for i in range(2)]
+        time.sleep(0.1)
+        t0 = time.perf_counter()
+        cl.close()
+        for th in callers:
+            th.join(1)
+        assert time.perf_counter() - t0 < 1.0
+        assert not any(th.is_alive() for th in callers)
+        assert len(errors) == 3
+        assert all(leg.kind == "lost" for leg in legs)
+        assert sorted(map(id, callbacks)) == sorted(map(id, legs))
+        with pytest.raises(ConnectionLost):
+            cl.rdp(template("never", 0))
+
+
+def test_wait_times_out_on_a_silent_server():
+    """A server that answers HELLO and then never replies cannot hold a timed wait."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    port = listener.getsockname()[1]
+    accepted = []
+
+    def silent_server():
+        conn, _ = listener.accept()
+        accepted.append(conn)
+        wire.read_frame(conn.makefile("rb"))
+        conn.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("silent")))
+
+    th = threading.Thread(target=silent_server, daemon=True)
+    th.start()
+    cl = RemoteSpace.connect(NodeAddress("127.0.0.1", port, "silent"))
+    try:
+        pending = cl.rd_async(template("x"), timeout=None)
+        t0 = time.perf_counter()
+        assert pending.wait(0.2) is False  # while it is the thread reading
+        assert time.perf_counter() - t0 < 1.0
+        reader_errors = []
+
+        def untimed():
+            try:
+                cl.rdp(template("y"))
+            except ConnectionLost as e:
+                reader_errors.append(e)
+
+        reader = threading.Thread(target=untimed)
+        reader.start()
+        time.sleep(0.05)
+        t0 = time.perf_counter()
+        assert pending.wait(0.2) is False  # while another thread reads
+        assert time.perf_counter() - t0 < 1.0
+        assert pending.kind is None
+        cl.close()
+        reader.join(1)
+        assert not reader.is_alive() and len(reader_errors) == 1
+        assert pending.wait(0) and pending.kind == "lost"
+    finally:
+        cl.close()
+        listener.close()
+        for conn in accepted:
+            conn.close()
+
+
+def test_synchronous_use_starts_no_thread():
+    before = set(threading.enumerate())
+    with served_space() as (space, srv), connected(srv) as cl:
+        cl.out(make_tuple("s", 1))
+        assert cl.rdp(template("s", ANY)) == make_tuple("s", 1)
+        assert cl.count(template("s", ANY)) == 1
+        assert cl.rd(template("s", ANY), timeout=1) == make_tuple("s", 1)
+        with pytest.raises(SpaceTimeout):
+            cl.in_(template("missing"), timeout=0.02)
+        pending = cl.rd_async(template("never"), timeout=None)
+        cl.cancel(pending)
+        assert pending.wait(3) and pending.kind == "none"
+        assert cl.inp(template("s", ANY)) == make_tuple("s", 1)
+        started = set(threading.enumerate()) - before
+        assert {th.name for th in started} == {f"accept-{srv.name}", f"conn-{srv.name}"}
+
+
+def test_callback_legs_share_one_reader_thread():
+    with served_space() as (space, srv):
+        cl = RemoteSpace.connect(NodeAddress("127.0.0.1", srv.port, srv.name))
+        before = set(threading.enumerate())
+        done = []
+        lock = threading.Lock()
+
+        def on_done(pending):
+            with lock:
+                done.append(pending)
+
+        legs = [cl.rd_async(template("leg", i), timeout=None, on_done=on_done)
+                for i in range(20)]
+        assert len(set(threading.enumerate()) - before) == 1
+        for i in range(0, 20, 2):
+            space.out(make_tuple("leg", i))
+        for leg in legs:
+            cl.cancel(leg)
+        deadline = time.time() + 5
+        while len(done) < 20 and time.time() < deadline:
+            time.sleep(0.01)
+        assert sorted(map(id, done)) == sorted(map(id, legs))
+        assert [leg.kind for leg in legs] == ["tuple", "none"] * 10
+        cl.close()
+        assert set(threading.enumerate()) <= before

@@ -136,6 +136,27 @@ def test_frame_length_bounds():
         wire.build_frame(wire.MSG_OUT, 1, b"\x00" * wire.MAX_FRAME)
 
 
+def test_pop_frame_splits_a_stream_fed_in_pieces():
+    frames = [wire.build_frame(wire.MSG_REPLY_TUPLE, 5, wire.encode_tuple(make_tuple("p", 1))),
+              wire.build_frame(wire.MSG_REPLY_NONE, 6),
+              wire.build_frame(wire.MSG_COUNT_REPLY, 2**64 - 1, wire.pack_count_reply(3))]
+    stream = b"".join(frames)
+    for piece in (1, 7, len(stream)):
+        buf = bytearray()
+        got = []
+        for at in range(0, len(stream), piece):
+            buf += stream[at:at + piece]
+            while (frame := wire.pop_frame(buf)) is not None:
+                got.append(frame)
+        assert got == [wire.parse_frame(f) for f in frames]
+        assert buf == bytearray()
+    assert wire.frame_size(stream[:3]) == 0
+    assert wire.frame_size(stream[:4]) == len(frames[0])
+    for length in (3, wire.MAX_FRAME + 1):
+        with pytest.raises(MalformedFrame):
+            wire.pop_frame(bytearray(struct.pack("<I", length)))
+
+
 def test_body_helpers_roundtrip():
     assert wire.unpack_hello(wire.pack_hello("worker3")) == (wire.PROTOCOL_VERSION, "worker3")
     assert wire.unpack_err(wire.pack_err(3, "late")) == (3, "late")
