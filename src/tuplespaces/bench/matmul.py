@@ -14,6 +14,8 @@ data; lookup traces are then reproducible for a fixed seed.
 
 from __future__ import annotations
 
+from array import array
+
 from ..rng import SplitMix64
 from ..tuples import ANY, FLOAT_ARRAY, INT, float_array, make_tuple, template, wildcard
 from .config import A_ROW_NAME, B_ROW_NAME, C_ROW_NAME, CaseResult
@@ -40,7 +42,7 @@ def run_master(h: RoleHandles) -> CaseResult:
         h.out_remote(h.worker_remotes[i % w], make_tuple(A_ROW_NAME, i, float_array(a[i])))
 
     c_tpl = template(C_ROW_NAME, wildcard(INT), wildcard(FLOAT_ARRAY))
-    rows: dict[int, tuple] = {}
+    rows: dict[int, array] = {}
     for _ in range(n):
         tup = h.take_local(c_tpl)
         rows[tup.fields[1].data] = tup.fields[2].data
@@ -64,7 +66,7 @@ def run_worker(h: RoleHandles) -> None:
     w = h.cfg.workers
     owned = list(range(h.worker_id, n, w))
     a_tpl = template(A_ROW_NAME, wildcard(INT), wildcard(FLOAT_ARRAY))
-    a_rows: dict[int, tuple] = {}
+    a_rows: dict[int, array] = {}
     for _ in owned:
         tup = h.take_local(a_tpl)
         a_rows[tup.fields[1].data] = tup.fields[2].data

@@ -11,6 +11,8 @@ single-threaded sweep regardless of scheduling.
 
 from __future__ import annotations
 
+from array import array
+
 from ..tuples import ANY, FLOAT_ARRAY, INT, float_array, make_tuple, template, wildcard
 from .config import (
     BORDER_NAME,
@@ -44,7 +46,7 @@ def run_master(h: RoleHandles) -> CaseResult:
                      make_tuple(PANEL_NAME, k, n, hi - lo, float_array(flat)))
 
     result_tpl = template(RESULT_PANEL_NAME, wildcard(INT), wildcard(FLOAT_ARRAY))
-    collected: dict[int, tuple] = {}
+    collected: dict[int, array] = {}
     for _ in range(w):
         tup = h.take_local(result_tpl)
         collected[tup.fields[1].data] = tup.fields[2].data

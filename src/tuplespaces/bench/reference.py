@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
 from functools import lru_cache
 
 from ..rng import SplitMix64
@@ -45,8 +46,8 @@ def digest_pairs(pairs) -> str:
 
 # -- sort ---------------------------------------------------------------------
 
-def sort_input(rng: SplitMix64, n: int) -> list[int]:
-    return [rng.next_i64() for _ in range(n)]
+def sort_input(rng: SplitMix64, n: int) -> array:
+    return rng.i64_array(n)
 
 
 def digest_ints(xs) -> str:

@@ -9,7 +9,9 @@ would not fit a frame.  Completion is signalled in-band: one empty unsorted
 array per worker acts as the poison pill (a worker stops at its first pill,
 so pills cannot starve anyone), alongside the sort_complete notice.
 
-The master appends every run to one list as it arrives (chunked runs once
+Arrays stay packed ``array('q')`` buffers from generation to the wire:
+workers split a taken array by slicing and sort each piece with ``sorted``.
+The master extends one list with every run as it arrives (chunked runs once
 reassembled) and sorts that list once: Timsort detects each ascending run and
 merges them in C, giving the same result as a k-way merge of the runs.
 """
@@ -43,7 +45,7 @@ from .roles import (
 CHUNK_ELEMENTS = 4 * 1024 * 1024  # stay well under the 64 MiB frame cap
 
 
-def split_for_transport(data: list[int], cap: int | None = None) -> list[list[int]]:
+def split_for_transport(data: Sequence[int], cap: int | None = None) -> list[Sequence[int]]:
     """Halve (first half first) until every piece fits one frame."""
     cap = CHUNK_ELEMENTS if cap is None else cap
     if len(data) <= cap:
@@ -52,7 +54,7 @@ def split_for_transport(data: list[int], cap: int | None = None) -> list[list[in
     return split_for_transport(data[:mid], cap) + split_for_transport(data[mid:], cap)
 
 
-def send_sorted_run(h: RoleHandles, run: list[int], cap: int | None = None) -> None:
+def send_sorted_run(h: RoleHandles, run: Sequence[int], cap: int | None = None) -> None:
     cap = CHUNK_ELEMENTS if cap is None else cap
     if len(run) <= cap:
         h.out_remote(h.master, make_tuple(SORTED_NAME, int_array(run)))
@@ -124,12 +126,11 @@ def run_worker(h: RoleHandles) -> None:
     unsorted_tpl = template(UNSORTED_NAME, wildcard(INT_ARRAY))
     while True:
         outcome = h.search(unsorted_tpl, destructive=True)
-        work = list(outcome.tuple.fields[1].data)
+        work = outcome.tuple.fields[1].data
         if not work:
             return  # poison pill
         while len(work) > threshold:
             mid = (len(work) + 1) // 2
             h.out_local(make_tuple(UNSORTED_NAME, int_array(work[:mid])))
             work = work[mid:]
-        work.sort()
-        send_sorted_run(h, work)
+        send_sorted_run(h, sorted(work))

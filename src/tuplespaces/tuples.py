@@ -6,10 +6,12 @@ any-wildcard.  ``match`` is the single pattern-matching relation every other
 module builds on: position-wise, arity-exact, pure.
 
 Value universe (six tags): 64-bit signed integers, IEEE-754 doubles, UTF-8
-strings, opaque bytes, and flat arrays of the two numeric kinds.  Floats
-compare by exact bit pattern: NaN equals NaN when the bits agree, and
-0.0 does not equal -0.0.  Tolerant comparison belongs to benchmark
-validation, never to the store.
+strings, opaque bytes, and flat arrays of the two numeric kinds.  Array
+fields hold packed buffers, ``array('q')`` and ``array('d')``, from
+construction through the store to the wire codec.  Floats compare by exact
+bit pattern: NaN equals NaN when the bits agree, and 0.0 does not equal
+-0.0.  Tolerant comparison belongs to benchmark validation, never to the
+store.
 """
 
 from __future__ import annotations
@@ -44,7 +46,11 @@ _PACK_D = struct.Struct("<d")
 
 
 class Value:
-    """One typed tuple field.  Immutable by convention (never mutate)."""
+    """One typed tuple field.  Immutable by convention (never mutate).
+
+    ``data`` is an int, float, str or bytes for the scalar tags, and an
+    ``array('q')``/``array('d')`` for INT_ARRAY/FLOAT_ARRAY.
+    """
 
     __slots__ = ("tag", "data")
 
@@ -53,25 +59,29 @@ class Value:
         self.data = data
 
     def __eq__(self, other):
-        if not isinstance(other, Value) or self.tag != other.tag:
-            return NotImplemented if not isinstance(other, Value) else False
-        if self.tag == FLOAT or self.tag == FLOAT_ARRAY:
-            return self._float_bits() == other._float_bits()
-        return self.data == other.data
+        if not isinstance(other, Value):
+            return NotImplemented
+        tag = self.tag
+        if tag != other.tag:
+            return False
+        if tag == INT or tag == STR or tag == BYTES:
+            return self.data == other.data
+        return self._key() == other._key()
 
     def __hash__(self):
-        tag = self.tag
-        if tag == FLOAT or tag == FLOAT_ARRAY:
-            return hash((tag, self._float_bits()))
-        return hash((tag, self.data))
+        return hash((self.tag, self._key()))
 
-    def _float_bits(self) -> bytes:
-        # The one equality key of FLOAT and FLOAT_ARRAY values, shared by
-        # __eq__ and __hash__: bit-pattern equality is exact, total and
-        # deterministic (arrays of different lengths pack to different sizes).
-        if self.tag == FLOAT:
+    def _key(self):
+        # The equality key that __hash__ hashes and __eq__ compares (int, str
+        # and bytes compare their data, which is their key).  Floats and
+        # arrays key on their bytes: bit-pattern equality is exact, total and
+        # deterministic (NaN payloads, -0.0 and lengths all stay apart).
+        tag = self.tag
+        if tag == FLOAT:
             return _PACK_D.pack(self.data)
-        return struct.pack(f"<{len(self.data)}d", *self.data)
+        if tag == INT_ARRAY or tag == FLOAT_ARRAY:
+            return self.data.tobytes()
+        return self.data
 
     def __repr__(self):
         return f"Value({TAG_NAMES[self.tag]}, {self.data!r})"
@@ -100,33 +110,42 @@ def bytes_value(x: bytes) -> Value:
 
 
 def int_array(xs: Iterable[int]) -> Value:
-    data = tuple(xs)
+    """An INT_ARRAY value holding a copy of ``xs`` as an ``array('q')``."""
+    if isinstance(xs, array) and xs.typecode == "q":
+        return Value(INT_ARRAY, array("q", xs))
+    data = xs if isinstance(xs, (list, tuple)) else list(xs)
     # Whole-sequence check in C: exactly-int elements that all fit int64.
     # Anything else (bools, floats, int subclasses, out-of-range values)
     # takes the per-element loop, which accepts or raises as before.
     if set(map(type, data)) <= {int}:
         try:
-            array("q", data)
+            return Value(INT_ARRAY, array("q", data))
         except OverflowError:
             pass
-        else:
-            return Value(INT_ARRAY, data)
     for x in data:
         if isinstance(x, bool) or not isinstance(x, int):
             raise TypeError("int_array elements must be plain ints")
         _check_int64(x)
-    return Value(INT_ARRAY, data)
+    return Value(INT_ARRAY, array("q", data))
 
 
 def float_array(xs: Iterable[float]) -> Value:
-    data = tuple(float(x) for x in xs)
-    return Value(FLOAT_ARRAY, data)
+    """A FLOAT_ARRAY value holding a copy of ``xs`` as an ``array('d')``.
+
+    Elements coerce as ``float(x)`` does (ints, bools, numeric strings).
+    """
+    data = xs if isinstance(xs, (list, tuple, array)) else list(xs)
+    try:
+        return Value(FLOAT_ARRAY, array("d", data))
+    except TypeError:
+        return Value(FLOAT_ARRAY, array("d", [float(x) for x in data]))
 
 
 def value_of(x) -> Value:
     """Coerce a Python value to a Value, inferring its tag.
 
-    Empty sequences are ambiguous; use int_array()/float_array() explicitly.
+    An ``array('q')``/``array('d')`` maps to INT_ARRAY/FLOAT_ARRAY.  Empty
+    lists and tuples are ambiguous; use int_array()/float_array() explicitly.
     """
     if isinstance(x, Value):
         return x
@@ -140,6 +159,12 @@ def value_of(x) -> Value:
         return str_value(x)
     if isinstance(x, (bytes, bytearray)):
         return bytes_value(bytes(x))
+    if isinstance(x, array):
+        if x.typecode == "q":
+            return int_array(x)
+        if x.typecode == "d":
+            return float_array(x)
+        raise TypeError(f"unsupported array typecode {x.typecode!r}; use 'q' or 'd'")
     if isinstance(x, (list, tuple)):
         if not x:
             raise TypeError("empty sequence is ambiguous; use int_array/float_array")

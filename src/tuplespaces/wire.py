@@ -7,14 +7,18 @@ Everything is little-endian and bit-exact.  A frame is
 where length covers msg_type + request_id + body (9 + len(body)).  Tuples
 are encoded as u32 arity then tagged fields; templates reuse the value tags
 for literals and use 0x10 for the any-wildcard and 0x10+tag for a type
-wildcard.  Decoding is strict: unknown tags, truncation, oversized declared
-lengths, trailing bytes and invalid UTF-8 all raise MalformedFrame rather
-than ever mis-decoding.
+wildcard.  An array field is u32 n then its n little-endian 8-byte elements,
+copied to and from the value's ``array`` buffer in one step (byteswapped on
+a big-endian host).  Decoding is strict: unknown tags, truncation, oversized
+declared lengths, trailing bytes and invalid UTF-8 all raise MalformedFrame
+rather than ever mis-decoding.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 
 from .errors import MalformedFrame, PayloadTooLarge
 from .tuples import (
@@ -69,6 +73,9 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _FRAME_HEAD = struct.Struct("<IBQ")
 
+# Array buffers are native order; the wire is little-endian.
+_BIG_ENDIAN = sys.byteorder == "big"
+
 
 class _Reader:
     """Cursor over immutable bytes; every read is bounds-checked."""
@@ -116,14 +123,13 @@ def _encode_payload(buf: bytearray, v: Value) -> None:
     elif tag == BYTES:
         buf += _U32.pack(len(v.data))
         buf += v.data
-    elif tag == INT_ARRAY:
-        n = len(v.data)
-        buf += _U32.pack(n)
-        buf += struct.pack(f"<{n}q", *v.data)
-    elif tag == FLOAT_ARRAY:
-        n = len(v.data)
-        buf += _U32.pack(n)
-        buf += struct.pack(f"<{n}d", *v.data)
+    elif tag == INT_ARRAY or tag == FLOAT_ARRAY:
+        data = v.data
+        buf += _U32.pack(len(data))
+        if _BIG_ENDIAN:
+            data = array(data.typecode, data)
+            data.byteswap()
+        buf += data
     else:  # pragma: no cover - construction prevents this
         raise MalformedFrame(f"unknown value tag {tag}")
 
@@ -141,12 +147,12 @@ def _decode_payload(r: _Reader, tag: int) -> Value:
             raise MalformedFrame(f"invalid UTF-8 in string field: {e}") from None
     if tag == BYTES:
         return Value(BYTES, bytes(r.take(r.u32())))
-    if tag == INT_ARRAY:
-        n = r.u32()
-        return Value(INT_ARRAY, struct.unpack(f"<{n}q", r.take(8 * n)))
-    if tag == FLOAT_ARRAY:
-        n = r.u32()
-        return Value(FLOAT_ARRAY, struct.unpack(f"<{n}d", r.take(8 * n)))
+    if tag == INT_ARRAY or tag == FLOAT_ARRAY:
+        data = array("q" if tag == INT_ARRAY else "d")
+        data.frombytes(r.take(8 * r.u32()))
+        if _BIG_ENDIAN:
+            data.byteswap()
+        return Value(tag, data)
     raise MalformedFrame(f"unknown value tag {tag}")
 
 

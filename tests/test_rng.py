@@ -2,6 +2,8 @@
 
 import pytest
 
+from tuplespaces import rng as rng_mod
+from tuplespaces.bench.reference import digest_ints, sort_input
 from tuplespaces.rng import SplitMix64
 
 
@@ -43,3 +45,28 @@ def test_below_and_float_ranges():
 
 def test_seed_masked_to_64_bits():
     assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 1000, 2 * rng_mod._LANES + 1])
+def test_i64_array_is_n_next_i64_draws(seed, n):
+    packed = SplitMix64(seed)
+    one_by_one = SplitMix64(seed)
+    got = packed.i64_array(n)
+    assert got.typecode == "q"
+    assert got.tolist() == [one_by_one.next_i64() for _ in range(n)]
+    assert packed.next_u64() == one_by_one.next_u64()
+
+
+def test_i64_array_swaps_bytes_for_the_other_byte_order(monkeypatch):
+    want = SplitMix64(3).i64_array(10)
+    monkeypatch.setattr(rng_mod, "_BIG_ENDIAN", not rng_mod._BIG_ENDIAN)
+    got = SplitMix64(3).i64_array(10)
+    got.byteswap()
+    assert got == want
+
+
+def test_sort_input_unchanged():
+    # sha256 of the little-endian int64 stream the sort benchmark feeds in.
+    assert digest_ints(sort_input(SplitMix64(1), 400000)) == (
+        "bf9975887f0adcec7fff486e5caeb426bbe7020f3da5147d24d700593a4aa0d2")

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from array import array
 from enum import IntEnum
 
 import pytest
@@ -23,6 +24,8 @@ from tuplespaces import (
 from tuplespaces.tuples import (
     ALL_TAGS,
     FLOAT,
+    FLOAT_ARRAY,
+    INT_ARRAY,
     LITERAL,
     PatternField,
     Value,
@@ -93,13 +96,40 @@ def test_int_array_accepts_int64_bounds_and_int_subclasses():
     class Level(IntEnum):
         HIGH = 7
 
-    assert int_array([-(2**63), 0, 2**63 - 1]).data == (-(2**63), 0, 2**63 - 1)
-    assert int_array([1, Level.HIGH]).data == (1, 7)
-    assert int_array([]).data == ()
+    bounds = int_array([-(2**63), 0, 2**63 - 1]).data
+    enum = int_array([1, Level.HIGH]).data
+    empty = int_array([]).data
+    assert bounds.tolist() == [-(2**63), 0, 2**63 - 1]
+    assert enum.tolist() == [1, 7]
+    assert empty.tolist() == []
+    assert bounds.typecode == enum.typecode == empty.typecode == "q"
 
 
 def _nan(payload: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+def test_array_values_copy_their_input():
+    for make, src in ((int_array, array("q", [1, 2, 3])),
+                      (float_array, array("d", [1.5, -0.0, 3.0]))):
+        v = make(src)
+        before = (v.data.tobytes(), hash(v))
+        src[0] = 99
+        src.append(7)
+        assert (v.data.tobytes(), hash(v)) == before
+        assert v == make(array(src.typecode, before[0]))
+
+
+def test_float_array_keeps_float_coercions():
+    assert float_array([1, 2]).data.tolist() == [1.0, 2.0]
+    assert float_array([True, "1.5", 2.5]).data.tolist() == [1.0, 1.5, 2.5]
+    assert float_array(x / 2 for x in range(3)).data.tolist() == [0.0, 0.5, 1.0]
+    assert float_array(array("q", [3])).data.tolist() == [3.0]
+    assert float_array([]).data.typecode == "d"
+    with pytest.raises(ValueError):
+        float_array([1.0, "one"])
+    with pytest.raises(TypeError):
+        float_array([1.0, None])
 
 
 def test_float_values_hash_as_they_compare():
@@ -131,6 +161,14 @@ def test_value_coercion_rules():
         value_of([1, 2.0])
     with pytest.raises(TypeError):
         value_of(object())
+    assert value_of(array("q", [1, 2])) == int_array([1, 2])
+    assert value_of(array("d", [0.5])) == float_array([0.5])
+    assert value_of(array("q")).tag == INT_ARRAY
+    assert make_tuple("run", array("q", [3])) == make_tuple("run", int_array([3]))
+    assert lit(array("d", [1.0])).tag == FLOAT_ARRAY
+    for code in ("i", "l", "Q", "f", "B"):
+        with pytest.raises(TypeError):
+            value_of(array(code, [1]))
 
 
 def test_arity_at_least_one():

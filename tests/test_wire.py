@@ -1,6 +1,8 @@
 """Codec bit-exactness, strict decoding, frame integrity."""
 
+import math
 import struct
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +40,53 @@ def test_known_layouts():
     assert enc == b"\x01\x00\x00\x00" + b"\x02" + struct.pack("<d", 1.0)
     enc = wire.encode_tuple(make_tuple(int_array([1])))
     assert enc == b"\x01\x00\x00\x00" + b"\x05" + b"\x01\x00\x00\x00" + struct.pack("<q", 1)
+
+
+def _nan(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+_INTS = [-(2**63), -1, 0, 1, -123456789, 2**63 - 1]
+_FLOATS = [-0.0, 0.0, _nan(1), _nan(2), -math.inf, 1.5]
+
+
+def _array_field(tag: int, fmt: str, xs) -> bytes:
+    return b"\x01\x00\x00\x00" + bytes([tag]) + struct.pack("<I", len(xs)) + struct.pack(fmt, *xs)
+
+
+def test_array_layouts_match_struct_pack():
+    for tup, want in ((make_tuple(int_array(_INTS)), _array_field(5, "<6q", _INTS)),
+                      (make_tuple(float_array(_FLOATS)), _array_field(6, "<6d", _FLOATS))):
+        assert wire.encode_tuple(tup) == want
+        got = wire.decode_tuple(want)
+        assert got == tup
+        assert got.fields[0].data.tobytes() == tup.fields[0].data.tobytes()
+    assert wire.decode_tuple(_array_field(6, "<1d", [_nan(1)])) != make_tuple(float_array([_nan(2)]))
+
+
+def test_truncated_array_payload_is_malformed():
+    good = wire.encode_tuple(make_tuple(int_array([1, 2, 3]), float_array([0.5, -0.0])))
+    for cut in range(len(good)):
+        with pytest.raises(MalformedFrame):
+            wire.decode_tuple(good[:cut])
+    # A declared element count far beyond the bytes present.
+    with pytest.raises(MalformedFrame):
+        wire.decode_tuple(b"\x01\x00\x00\x00\x05\xff\xff\xff\xff" + b"\x00" * 16)
+
+
+def test_big_endian_host_swaps_array_elements(monkeypatch):
+    tup = make_tuple(int_array(_INTS), float_array(_FLOATS))
+    monkeypatch.setattr(wire, "_BIG_ENDIAN", True)
+    enc = wire.encode_tuple(tup)
+    # On a little-endian host the swapped buffer reads as big-endian elements.
+    want = (b"\x02\x00\x00\x00"
+            + b"\x05" + struct.pack("<I", 6) + struct.pack(">6q", *_INTS)
+            + b"\x06" + struct.pack("<I", 6) + struct.pack(">6d", *_FLOATS))
+    if sys.byteorder == "little":
+        assert enc == want
+    got = wire.decode_tuple(enc)
+    assert got == tup
+    assert tup.fields[0].data.tolist() == _INTS
 
 
 def test_template_wildcard_tags():
