@@ -76,70 +76,52 @@ class RoleHandles:
             remote.close()
 
     # -- instrumented operations ------------------------------------------
+    #
+    # Each times its operation as t0 = perf_counter_ns(), the call, then
+    # add_interval(label, perf_counter_ns() - t0): an operation that raises
+    # records nothing.
 
     def out_local(self, tup: Tuple) -> None:
-        profiler.begin(WRITE_LOCAL)
+        t0 = time.perf_counter_ns()
         self.local.out(tup)
-        profiler.end(WRITE_LOCAL)
+        profiler.add_interval(WRITE_LOCAL, time.perf_counter_ns() - t0)
 
     def out_remote(self, remote: RemoteSpace, tup: Tuple) -> None:
-        profiler.begin(WRITE_REMOTE)
-        try:
-            remote.out(tup)
-        except BaseException:
-            profiler.discard(WRITE_REMOTE)
-            raise
-        profiler.end(WRITE_REMOTE)
+        t0 = time.perf_counter_ns()
+        remote.out(tup)
+        profiler.add_interval(WRITE_REMOTE, time.perf_counter_ns() - t0)
 
     def take_local(self, tpl: Template) -> Tuple:
         """Blocking take from the own space, capped by the rep deadline."""
-        profiler.begin(READ_LOCAL)
-        try:
-            got = self.local.in_(tpl, timeout=self.remaining())
-        except BaseException:
-            profiler.discard(READ_LOCAL)
-            raise
-        profiler.end(READ_LOCAL)
+        t0 = time.perf_counter_ns()
+        got = self.local.in_(tpl, timeout=self.remaining())
+        profiler.add_interval(READ_LOCAL, time.perf_counter_ns() - t0)
         return got
 
     def probe_local_take(self, tpl: Template) -> Tuple | None:
         """Non-blocking take; records a read only when it hits."""
-        profiler.begin(READ_LOCAL)
+        t0 = time.perf_counter_ns()
         got = self.local.inp(tpl)
-        if got is None:
-            profiler.discard(READ_LOCAL)
-        else:
-            profiler.end(READ_LOCAL)
+        if got is not None:
+            profiler.add_interval(READ_LOCAL, time.perf_counter_ns() - t0)
         return got
 
     def rd_local(self, tpl: Template) -> Tuple:
-        profiler.begin(READ_LOCAL)
-        try:
-            got = self.local.rd(tpl, timeout=self.remaining())
-        except BaseException:
-            profiler.discard(READ_LOCAL)
-            raise
-        profiler.end(READ_LOCAL)
+        t0 = time.perf_counter_ns()
+        got = self.local.rd(tpl, timeout=self.remaining())
+        profiler.add_interval(READ_LOCAL, time.perf_counter_ns() - t0)
         return got
 
     def take_remote(self, remote: RemoteSpace, tpl: Template) -> Tuple:
-        profiler.begin(READ_REMOTE)
-        try:
-            got = remote.in_(tpl, timeout=self.remaining())
-        except BaseException:
-            profiler.discard(READ_REMOTE)
-            raise
-        profiler.end(READ_REMOTE)
+        t0 = time.perf_counter_ns()
+        got = remote.in_(tpl, timeout=self.remaining())
+        profiler.add_interval(READ_REMOTE, time.perf_counter_ns() - t0)
         return got
 
     def rd_remote(self, remote: RemoteSpace, tpl: Template) -> Tuple:
-        profiler.begin(READ_REMOTE)
-        try:
-            got = remote.rd(tpl, timeout=self.remaining())
-        except BaseException:
-            profiler.discard(READ_REMOTE)
-            raise
-        profiler.end(READ_REMOTE)
+        t0 = time.perf_counter_ns()
+        got = remote.rd(tpl, timeout=self.remaining())
+        profiler.add_interval(READ_REMOTE, time.perf_counter_ns() - t0)
         return got
 
     # -- strategy dispatch ---------------------------------------------------

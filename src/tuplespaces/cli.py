@@ -181,16 +181,10 @@ def cmd_aggregate(args) -> int:
         print("no dumps found", file=sys.stderr)
         return EXIT_FAILURE
     out_path = os.path.join(args.directory, "stats.csv")
+    columns = ("case", "workers", "size", "strategy")
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(profiler.STATS_COMMENT + "\n")
-            fh.write("case,workers,size,strategy,label,n,mean,stddev,min,max\n")
-            for key in sorted(groups):
-                stats = profiler.aggregate(groups[key])
-                for label in sorted(stats):
-                    s = stats[label]
-                    fh.write(",".join(map(str, key)) +
-                             f",{s.label},{s.n},{s.mean!r},{s.stddev!r},{s.min!r},{s.max!r}\n")
+        profiler.write_stats(out_path, [(dict(zip(columns, key)), profiler.aggregate(groups[key]))
+                                        for key in sorted(groups)])
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_FAILURE

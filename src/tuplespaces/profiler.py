@@ -1,15 +1,22 @@
 """Manual profiler: labeled interval timers, per-thread counters, CSV dumps.
 
-Usage mirrors the classic begin(label) / end(label) bracketing inserted
-around the code of interest; distinct labels may overlap and each label
-nests LIFO per thread.  Counters accumulate per thread and materialize as
-records when dumped.  Every process writes its own dump file; aggregation
-reads any number of dump files and reduces each label to count / mean /
-sample standard deviation / min / max.
+A hot path times a section in three steps: ``t0 = time.perf_counter_ns()``,
+the operation, then ``add_interval(label, time.perf_counter_ns() - t0)``.
+An operation that raises records nothing, and a caller may record only some
+outcomes (a probe only when it hits).  ``begin(label)``/``end(label)`` remain
+for a span that opens and closes in different functions; distinct labels
+may overlap and each label nests LIFO per thread.  Counters accumulate per
+thread and materialize as records when dumped.  Every process writes its
+own dump file; aggregation reads any number of dump files and reduces each
+label to count / mean / sample standard deviation / min / max.
 
 Timing uses the monotonic nanosecond clock; wall-clock time never enters
-the numbers.  The begin/end pair costs far less than a microsecond-scale
-measured section, which is the budget the measurements need.
+the numbers.  Recording is not free next to the sections it times: on a
+2-vCPU host (Python 3.11, best of 7 over 20k calls) a ``t0`` +
+``add_interval`` section costs 0.8-1.0 µs and a ``begin``/``end`` pair
+1.2-1.5 µs, where a pair cost 2.5-3.0 µs while every interval built a
+record object, and a ``LocalSpace.out`` costs 1.4-1.5 µs.  Under host load
+all of these about double.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -31,8 +39,14 @@ STATS_HEADER = ("label", "n", "mean", "stddev", "min", "max")
 STATS_COMMENT = "# stddev is the sample standard deviation (n-1 denominator)"
 
 
-@dataclass(frozen=True)
-class MetricRecord:
+class MetricRecord(NamedTuple):
+    """One dump row as parse_dump returns it.
+
+    A named tuple, so the rows parse_dump builds reuse the memory of the
+    dumped interval rows (plain tuples of the same size) instead of growing
+    the heap.
+    """
+
     label: str
     kind: str
     value: int  # nanoseconds for intervals, count for counters
@@ -52,12 +66,16 @@ class MetricStats:
 
 
 class _ThreadState:
-    __slots__ = ("lock", "name", "records", "counters", "stacks", "seq", "gen")
+    """One thread's buffers.  ``lock`` guards what dump() swaps out (records,
+    counters, seq); the begin/end stacks are touched by their own thread only.
+    """
 
-    def __init__(self, name: str, gen: int):
+    __slots__ = ("lock", "thread", "records", "counters", "stacks", "seq", "gen")
+
+    def __init__(self, thread: threading.Thread, gen: int):
         self.lock = threading.Lock()
-        self.name = name
-        self.records: list[MetricRecord] = []
+        self.thread = thread
+        self.records: list[tuple] = []  # dump rows, in DUMP_HEADER order
         self.counters: dict[str, int] = {}
         self.stacks: dict[str, list[int]] = {}
         self.seq = 0
@@ -72,6 +90,9 @@ class Collector:
     additionally registered on the collector so dumps see records of threads
     that have already exited.  reset() bumps a generation counter, which
     invalidates any state still referenced by live threads.
+
+    An interval is buffered as its dump row, a plain tuple; MetricRecord
+    objects exist only on the parsing side.
     """
 
     def __init__(self, process: str | None = None):
@@ -88,7 +109,7 @@ class Collector:
     def _state(self) -> _ThreadState:
         st = getattr(self._tls, "state", None)
         if st is None or st.gen != self._gen:
-            st = _ThreadState(threading.current_thread().name, self._gen)
+            st = _ThreadState(threading.current_thread(), self._gen)
             self._tls.state = st
             with self._lock:
                 if st.gen == self._gen:
@@ -98,46 +119,35 @@ class Collector:
     # -- recording ----------------------------------------------------------
 
     def begin(self, label: str) -> None:
-        st = self._state()
-        with st.lock:
-            st.stacks.setdefault(label, []).append(time.perf_counter_ns())
+        self._state().stacks.setdefault(label, []).append(time.perf_counter_ns())
 
     def end(self, label: str) -> None:
         t1 = time.perf_counter_ns()
-        st = self._state()
-        with st.lock:
-            stack = st.stacks.get(label)
-            if not stack:
+        stack = self._state().stacks.get(label)
+        if not stack:
+            with self._lock:
                 self.diagnostics.append(
                     f"unmatched end({label!r}) on thread {threading.current_thread().name}")
-                return
-            t0 = stack.pop()
-            st.name = threading.current_thread().name
-            st.records.append(MetricRecord(label, KIND_INTERVAL, t1 - t0,
-                                           self.process, st.name, st.seq))
-            st.seq += 1
+            return
+        self.add_interval(label, t1 - stack.pop())
 
     def discard(self, label: str) -> None:
         """Drop the innermost pending begin(label) without emitting a record."""
-        st = self._state()
-        with st.lock:
-            stack = st.stacks.get(label)
-            if stack:
-                stack.pop()
+        stack = self._state().stacks.get(label)
+        if stack:
+            stack.pop()
 
     def add_interval(self, label: str, value_ns: int) -> None:
-        """Record an interval measured by the caller (used by async paths)."""
+        """Record an interval the caller measured with time.perf_counter_ns()."""
         st = self._state()
         with st.lock:
-            st.name = threading.current_thread().name
-            st.records.append(MetricRecord(label, KIND_INTERVAL, value_ns,
-                                           self.process, st.name, st.seq))
+            st.records.append((label, KIND_INTERVAL, value_ns, self.process,
+                               st.thread.name, st.seq))
             st.seq += 1
 
     def inc_counter(self, label: str, n: int = 1) -> None:
         st = self._state()
         with st.lock:
-            st.name = threading.current_thread().name
             st.counters[label] = st.counters.get(label, 0) + n
 
     # -- inspection ----------------------------------------------------------
@@ -163,25 +173,30 @@ class Collector:
         """Write all buffered records as CSV and clear the buffers.
 
         Counters flush as one counter record per (thread, label).  Records
-        emitted after the dump starts land in the next dump.
+        emitted after the dump starts land in the next dump.  Diagnostics
+        (unmatched ends), if any, go one per line to ``path + ".diag"``.
         """
         with self._lock:
             states = list(self._states)
-        rows: list[MetricRecord] = []
+            diagnostics, self.diagnostics = self.diagnostics, []
+        rows: list[tuple] = []
         for st in states:
             with st.lock:
                 rows.extend(st.records)
                 st.records = []
+                name = st.thread.name
                 for label in sorted(st.counters):
-                    rows.append(MetricRecord(label, KIND_COUNTER, st.counters[label],
-                                             self.process, st.name, st.seq))
+                    rows.append((label, KIND_COUNTER, st.counters[label],
+                                 self.process, name, st.seq))
                     st.seq += 1
                 st.counters = {}
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(DUMP_HEADER)
-            for r in rows:
-                writer.writerow((r.label, r.kind, r.value, r.process, r.thread, r.seq))
+            writer.writerows(rows)
+        if diagnostics:
+            with open(os.fspath(path) + ".diag", "w", encoding="utf-8") as fh:
+                fh.writelines(d + "\n" for d in diagnostics)
 
 
 # -- aggregation --------------------------------------------------------------
@@ -229,56 +244,40 @@ def aggregate(paths) -> dict[str, MetricStats]:
     return {label: stats_of(label, vs) for label, vs in sorted(values.items())}
 
 
-def write_stats(path, stats: dict[str, MetricStats], group: dict | None = None) -> None:
-    """Write the aggregate CSV; optional group columns prefix each row."""
-    group = group or {}
+def write_stats(path, stats, group: dict | None = None) -> None:
+    """Write the aggregate CSV; optional group columns prefix each row.
+
+    ``stats`` is either one group's ``{label: MetricStats}``, prefixed by the
+    values of ``group``, or a list of ``(group, stats)`` pairs written in
+    order under one header whose group columns are the first group's keys.
+    """
+    groups = [(group or {}, stats)] if isinstance(stats, dict) else stats
+    columns = tuple(groups[0][0]) if groups else ()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(STATS_COMMENT + "\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(tuple(group.keys()) + STATS_HEADER)
-        for label in sorted(stats):
-            s = stats[label]
-            writer.writerow(tuple(group.values()) +
-                            (s.label, s.n, repr(s.mean), repr(s.stddev),
-                             repr(s.min), repr(s.max)))
+        writer.writerow(columns + STATS_HEADER)
+        for group_values, group_stats in groups:
+            prefix = tuple(group_values.values())
+            for label in sorted(group_stats):
+                s = group_stats[label]
+                writer.writerow(prefix + (s.label, s.n, repr(s.mean), repr(s.stddev),
+                                          repr(s.min), repr(s.max)))
 
 
 # -- module-level default collector (paper-style static logger) ---------------
+#
+# The module functions are the default collector's bound methods, so a call
+# from a hot path costs one Python frame, not two.
 
 _default = Collector()
 
-
-def set_process(name: str) -> None:
-    _default.set_process(name)
-
-
-def begin(label: str) -> None:
-    _default.begin(label)
-
-
-def end(label: str) -> None:
-    _default.end(label)
-
-
-def discard(label: str) -> None:
-    _default.discard(label)
-
-
-def add_interval(label: str, value_ns: int) -> None:
-    _default.add_interval(label, value_ns)
-
-
-def inc_counter(label: str, n: int = 1) -> None:
-    _default.inc_counter(label, n)
-
-
-def counter_total(label: str) -> int:
-    return _default.counter_total(label)
-
-
-def reset() -> None:
-    _default.reset()
-
-
-def dump(path) -> None:
-    _default.dump(path)
+set_process = _default.set_process
+begin = _default.begin
+end = _default.end
+discard = _default.discard
+add_interval = _default.add_interval
+inc_counter = _default.inc_counter
+counter_total = _default.counter_total
+reset = _default.reset
+dump = _default.dump

@@ -90,13 +90,9 @@ class SearchOutcome:
 
 
 def _probe(space, tpl: Template, destructive: bool, label: str):
-    profiler.begin(label)
-    try:
-        got = space.inp(tpl) if destructive else space.rdp(tpl)
-    except BaseException:
-        profiler.discard(label)
-        raise
-    profiler.end(label)
+    t0 = time.perf_counter_ns()
+    got = space.inp(tpl) if destructive else space.rdp(tpl)
+    profiler.add_interval(label, time.perf_counter_ns() - t0)
     return got
 
 
@@ -105,47 +101,42 @@ def _poll_search(directory: PeerDirectory, tpl: Template, destructive: bool,
                  stats: SuccessStats | None = None) -> SearchOutcome:
     """Polling rounds; peers in directory order, or by descending factor with `stats`."""
     n_peers = len(directory.peers)
-    start = time.perf_counter()
-    profiler.begin(SEARCH)
+    start = time.perf_counter_ns()
     visited = 0
     first_round = 0
     rounds = 0
-    try:
-        while True:
-            rounds += 1
-            counting = rounds == 1
-            visited += 1
-            if counting:
-                first_round += 1
-                profiler.inc_counter(NODE_VISITED)
-            got = _probe(directory.local, tpl, destructive, READ_LOCAL)
-            if got is None:
-                for idx in range(n_peers) if stats is None else stats.order(n_peers):
-                    visited += 1
-                    if counting:
-                        first_round += 1
-                        profiler.inc_counter(NODE_VISITED)
-                    got = _probe(directory.peers[idx], tpl, destructive, READ_REMOTE)
-                    hit = got is not None
-                    if stats is not None:
-                        stats.update(idx, hit)
-                    if hit:
-                        break
-            if got is not None:
-                profiler.end(SEARCH)
-                return SearchOutcome(got, visited, first_round,
-                                     time.perf_counter() - start, rounds)
-            if deadline is None:
-                time.sleep(poll_interval)
-            else:
-                remaining = deadline - (time.perf_counter() - start)
-                if remaining <= 0:
-                    raise DeadlineExceeded(
-                        f"no match within {deadline}s after {rounds} rounds")
-                time.sleep(min(poll_interval, remaining))
-    except BaseException:
-        profiler.discard(SEARCH)
-        raise
+    while True:
+        rounds += 1
+        counting = rounds == 1
+        visited += 1
+        if counting:
+            first_round += 1
+            profiler.inc_counter(NODE_VISITED)
+        got = _probe(directory.local, tpl, destructive, READ_LOCAL)
+        if got is None:
+            for idx in range(n_peers) if stats is None else stats.order(n_peers):
+                visited += 1
+                if counting:
+                    first_round += 1
+                    profiler.inc_counter(NODE_VISITED)
+                got = _probe(directory.peers[idx], tpl, destructive, READ_REMOTE)
+                hit = got is not None
+                if stats is not None:
+                    stats.update(idx, hit)
+                if hit:
+                    break
+        if got is not None:
+            elapsed_ns = time.perf_counter_ns() - start
+            profiler.add_interval(SEARCH, elapsed_ns)
+            return SearchOutcome(got, visited, first_round, elapsed_ns / 1e9, rounds)
+        if deadline is None:
+            time.sleep(poll_interval)
+        else:
+            remaining = deadline - (time.perf_counter_ns() - start) / 1e9
+            if remaining <= 0:
+                raise DeadlineExceeded(
+                    f"no match within {deadline}s after {rounds} rounds")
+            time.sleep(min(poll_interval, remaining))
 
 
 def search_sequential(directory: PeerDirectory, tpl: Template, destructive: bool = False,
@@ -170,8 +161,7 @@ def search_notify(directory: PeerDirectory, tpl: Template,
     Non-destructive by construction: a broadcast take would need a
     distributed return protocol, which this middleware does not define.
     """
-    start = time.perf_counter()
-    profiler.begin(SEARCH)
+    start = time.perf_counter_ns()
     done = threading.Event()
     state = {"winner": None, "kind": None, "lost": 0}
     lock = threading.Lock()
@@ -216,13 +206,11 @@ def search_notify(directory: PeerDirectory, tpl: Template,
     with lock:
         winner = state["winner"]
         kind = state["kind"]
-    elapsed = time.perf_counter() - start
+    elapsed_ns = time.perf_counter_ns() - start
     if winner is None:
-        profiler.discard(SEARCH)
         if state["lost"] >= n_legs:
             raise ConnectionLost("every leg of the broadcast read failed")
         raise DeadlineExceeded(f"no reply within {deadline}s from {n_legs} spaces")
-    profiler.add_interval(READ_LOCAL if kind == "local" else READ_REMOTE,
-                          int(elapsed * 1e9))
-    profiler.end(SEARCH)
-    return SearchOutcome(winner, n_legs, n_legs, elapsed, 1)
+    profiler.add_interval(READ_LOCAL if kind == "local" else READ_REMOTE, elapsed_ns)
+    profiler.add_interval(SEARCH, time.perf_counter_ns() - start)
+    return SearchOutcome(winner, n_legs, n_legs, elapsed_ns / 1e9, 1)

@@ -147,6 +147,15 @@ def value_of(x) -> Value:
     An ``array('q')``/``array('d')`` maps to INT_ARRAY/FLOAT_ARRAY.  Empty
     lists and tuples are ambiguous; use int_array()/float_array() explicitly.
     """
+    # Exact str/int/float first: the common fields.  Subclasses (bool,
+    # IntEnum members, float subclasses) take the general path below.
+    kind = type(x)
+    if kind is str:
+        return Value(STR, x)
+    if kind is int:
+        return Value(INT, _check_int64(x))
+    if kind is float:
+        return Value(FLOAT, x)
     if isinstance(x, Value):
         return x
     if isinstance(x, bool):
@@ -205,9 +214,22 @@ class Tuple:
         return f"<{inner}>"
 
 
+def _new_tuple(fields: tuple) -> Tuple:
+    """A Tuple over Values its caller has just built: no per-field check.
+
+    Only make_tuple and the wire codec use it; the public constructor keeps
+    every check.
+    """
+    if not fields:
+        raise ValueError("tuple arity must be >= 1")
+    tup = object.__new__(Tuple)
+    tup.fields = fields
+    return tup
+
+
 def make_tuple(*raw) -> Tuple:
     """Build a Tuple from Python values (see value_of for the coercions)."""
-    return Tuple([value_of(x) for x in raw])
+    return _new_tuple(tuple([value_of(x) for x in raw]))
 
 
 # Pattern field kinds.
@@ -288,12 +310,19 @@ class Template:
         return "<" + ", ".join(repr(f) for f in self.fields) + ">"
 
 
+def _new_template(fields: tuple) -> Template:
+    """A Template over PatternFields its caller has just built: no per-field
+    check (template, template_of and the wire codec only)."""
+    if not fields:
+        raise ValueError("template arity must be >= 1")
+    tpl = object.__new__(Template)
+    tpl.fields = fields
+    return tpl
+
+
 def template(*fields) -> Template:
     """Build a Template; non-PatternField arguments become literals."""
-    out = []
-    for f in fields:
-        out.append(f if isinstance(f, PatternField) else lit(f))
-    return Template(out)
+    return _new_template(tuple([f if isinstance(f, PatternField) else lit(f) for f in fields]))
 
 
 def match(tpl: Template, tup: Tuple) -> bool:
@@ -321,4 +350,4 @@ def match(tpl: Template, tup: Tuple) -> bool:
 
 def template_of(tup: Tuple) -> Template:
     """The all-literal template of a tuple; matches its source by construction."""
-    return Template([PatternField(LITERAL, value=v) for v in tup.fields])
+    return _new_template(tuple([PatternField(LITERAL, value=v) for v in tup.fields]))

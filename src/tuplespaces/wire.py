@@ -36,6 +36,8 @@ from .tuples import (
     Template,
     Tuple,
     Value,
+    _new_template,
+    _new_tuple,
 )
 
 PROTOCOL_VERSION = 1
@@ -171,7 +173,7 @@ def _decode_tuple_at(r: _Reader) -> Tuple:
     fields = []
     for _ in range(arity):
         fields.append(_decode_payload(r, r.u8()))
-    return Tuple(fields)
+    return _new_tuple(tuple(fields))
 
 
 def decode_tuple(data: bytes) -> Tuple:
@@ -207,7 +209,7 @@ def _decode_template_at(r: _Reader) -> Template:
             fields.append(PatternField(TYPE_WILDCARD, tag=tag - _WILDCARD_BASE))
         else:
             fields.append(PatternField(LITERAL, value=_decode_payload(r, tag)))
-    return Template(fields)
+    return _new_template(tuple(fields))
 
 
 def decode_template(data: bytes) -> Template:

@@ -1,11 +1,22 @@
 """Case protocols: worked examples, instrumentation, determinism, barriers."""
 
+import os
 import time
+from collections import Counter
 
 import pytest
 
-from tuplespaces import profiler
-from tuplespaces.labels import ALL_LABELS, NODE_VISITED, TOTAL_RUNTIME
+from tuplespaces import ConnectionLost, DeadlineExceeded, LocalSpace, make_tuple, profiler, template
+from tuplespaces.labels import (
+    ALL_LABELS,
+    NODE_VISITED,
+    READ_LOCAL,
+    READ_REMOTE,
+    SEARCH,
+    TOTAL_RUNTIME,
+    WRITE_LOCAL,
+    WRITE_REMOTE,
+)
 from tuplespaces.bench import matmul as matmul_mod
 from tuplespaces.bench import password as password_mod
 from tuplespaces.bench import sorting as sorting_mod
@@ -268,6 +279,49 @@ def test_normative_labels_exactly(cfg, tmp_path):
     assert r.correct
     labels = {rec.label for rec in profiler.parse_dump(r.dump_paths[0])}
     assert labels == set(ALL_LABELS)
+
+
+def test_matmul_record_counts_per_label(tmp_path):
+    """A fixed b_on_one rep hits every lookup in round one, so each label's
+    record count is fixed.  These counts were taken with the begin/end
+    wrappers that the t0 + add_interval form replaced."""
+    cfg = BenchConfig(case="matmul", workers=2, size=6, strategy="success_factor",
+                      distribution="b_on_one", reps=1, seed=3, deadline=30)
+    r = run_one(cfg, tmp_path=tmp_path, key="counts")
+    assert r.correct
+    counts = Counter((rec.label, rec.kind) for rec in profiler.parse_dump(r.dump_paths[0]))
+    assert counts == {
+        (TOTAL_RUNTIME, profiler.KIND_INTERVAL): 1,
+        (WRITE_LOCAL, profiler.KIND_INTERVAL): 1,
+        (WRITE_REMOTE, profiler.KIND_INTERVAL): 22,
+        (READ_LOCAL, profiler.KIND_INTERVAL): 52,
+        (READ_REMOTE, profiler.KIND_INTERVAL): 20,
+        (SEARCH, profiler.KIND_INTERVAL): 36,
+        (NODE_VISITED, profiler.KIND_COUNTER): 2,
+    }
+    assert not os.path.exists(r.dump_paths[0] + ".diag")  # a clean rep has no diagnostics
+
+
+class _Unreachable:
+    def out(self, tup):
+        raise ConnectionLost("peer gone")
+
+
+def test_timed_operations_record_only_what_completed(tmp_path):
+    h = RoleHandles(BenchConfig(case="password", workers=1, size=1), "worker0", 0, 0, "k",
+                    [], LocalSpace("own"), deadline_at=time.monotonic() + 30)
+    profiler.reset()
+    with pytest.raises(ConnectionLost):
+        h.out_remote(_Unreachable(), make_tuple("x"))
+    assert h.probe_local_take(template("x")) is None  # a miss records nothing
+    h.out_local(make_tuple("x"))
+    assert h.probe_local_take(template("x")) == make_tuple("x")
+    h.deadline_at = time.monotonic() - 1
+    with pytest.raises(DeadlineExceeded):
+        h.take_local(template("x"))
+    path = tmp_path / "d.csv"
+    profiler.dump(path)
+    assert [rec.label for rec in profiler.parse_dump(path)] == [WRITE_LOCAL, READ_LOCAL]
 
 
 def test_timer_excludes_initialization(tmp_path, monkeypatch):

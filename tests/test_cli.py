@@ -128,6 +128,52 @@ def test_aggregate_stats_match_profiler_oracle(tmp_path):
         assert int(row[5]) == stats.n
         assert float(row[6]) == pytest.approx(stats.mean, rel=1e-12)
         assert float(row[7]) == pytest.approx(stats.stddev, rel=1e-12)
+    # byte for byte what the hand-joined writer that write_stats replaced wrote
+    expected = (profiler.STATS_COMMENT + "\n"
+                "case,workers,size,strategy,label,n,mean,stddev,min,max\n" +
+                "".join(f"matmul,2,6,sequential,{s.label},{s.n},{s.mean!r},{s.stddev!r},"
+                        f"{s.min!r},{s.max!r}\n" for _, s in sorted(direct.items())))
+    assert stats_path.read_text() == expected
+
+
+# Written by the hand-joined aggregate writer for _write_aggregate_fixture.
+GOLDEN_STATS = (
+    "# stddev is the sample standard deviation (n-1 denominator)\n"
+    "case,workers,size,strategy,label,n,mean,stddev,min,max\n"
+    "matmul,2,6,success_factor,Master::TotalRuntime,1,123456789.0,0.0,123456789.0,123456789.0\n"
+    "matmul,2,6,success_factor,nodeVisited,2,27.0,0.0,27.0,27.0\n"
+    "matmul,2,6,success_factor,read::local,3,1.6666666666666667,0.5773502691896257,1.0,2.0\n"
+    "password,1,100,sequential,write::local,3,5.666666666666667,3.7859388972001824,3.0,10.0\n"
+)
+
+
+def _write_aggregate_fixture(directory):
+    """Two run groups, hand-written manifests and dumps."""
+    groups = [
+        ("k1", "matmul", 2, 6, "success_factor",
+         {"r0.csv": [("read::local", "interval", 1), ("read::local", "interval", 2),
+                     ("nodeVisited", "counter", 27)],
+          "r1.csv": [("read::local", "interval", 2), ("nodeVisited", "counter", 27),
+                     ("Master::TotalRuntime", "interval", 123456789)]}),
+        ("k2", "password", 1, 100, "sequential",
+         {"p0.csv": [("write::local", "interval", 10), ("write::local", "interval", 3),
+                     ("write::local", "interval", 4)]}),
+    ]
+    for key, case, workers, size, strategy, dumps in groups:
+        for name, rows in dumps.items():
+            with open(os.path.join(directory, name), "w") as fh:
+                fh.write(",".join(profiler.DUMP_HEADER) + "\n")
+                for label, kind, value in rows:
+                    fh.write(f"{label},{kind},{value},p,t,0\n")
+        with open(os.path.join(directory, f"manifest_{key}.txt"), "w") as fh:
+            fh.write(f"run_key={key}\ncase={case}\nworkers={workers}\nsize={size}\n"
+                     f"strategy={strategy}\nrep0.dumps={';'.join(dumps)}\n")
+
+
+def test_aggregate_groups_golden(tmp_path):
+    _write_aggregate_fixture(tmp_path)
+    assert run_cli("aggregate", str(tmp_path)) == EXIT_OK
+    assert (tmp_path / "stats.csv").read_text() == GOLDEN_STATS
 
 
 def test_aggregate_empty_dir(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Profiler: interval brackets, counters, dumps, aggregation math."""
 
+import os
 import random
 import statistics
 import threading
+import time
 
 import pytest
 
-from tuplespaces import ParseError
+from tuplespaces import ParseError, profiler
 from tuplespaces.profiler import (
     Collector,
     DUMP_HEADER,
@@ -64,6 +66,20 @@ def test_unmatched_end_is_diagnostic_not_crash(tmp_path):
     path = tmp_path / "d.csv"
     c.dump(path)
     assert parse_dump(path) == []
+    # the diagnostic reaches a sidecar next to the dump, once
+    lines = (tmp_path / "d.csv.diag").read_text().splitlines()
+    assert len(lines) == 1 and "unmatched end('y')" in lines[0]
+    assert c.diagnostics == []
+    c.dump(tmp_path / "again.csv")
+    assert not os.path.exists(tmp_path / "again.csv.diag")
+
+
+def test_clean_dump_writes_no_diagnostics(tmp_path):
+    c = Collector("p")
+    c.begin("a")
+    c.end("a")
+    c.dump(tmp_path / "d.csv")
+    assert os.listdir(tmp_path) == ["d.csv"]
 
 
 def test_discard_suppresses_record(tmp_path):
@@ -184,6 +200,61 @@ def test_seq_strictly_increasing_across_dumps(tmp_path):
     assert second > first
 
 
+# Written by the MetricRecord-per-interval collector for the same calls.
+GOLDEN_DUMP = (
+    "label,kind,value,process,thread,seq\n"
+    "b,interval,7,proc-a,t-one,0\n"
+    "c,interval,42,proc-a,t-one,1\n"
+    "a,interval,21,proc-a,t-one,2\n"
+    "a,interval,7,proc-a,t-one,3\n"
+    "j,counter,2,proc-a,t-one,4\n"
+    "k,counter,5,proc-a,t-one,5\n"
+    "c,interval,5,proc-a,t-two,0\n"
+    "x,interval,7,proc-a,t-two,1\n"
+    "k,counter,1,proc-a,t-two,2\n"
+)
+
+
+def test_dump_bytes_are_unchanged(tmp_path, monkeypatch):
+    ticks = iter(range(1000, 10**6, 7))
+    monkeypatch.setattr(time, "perf_counter_ns", lambda: next(ticks))
+    c = Collector("proc-a")
+
+    def first():
+        c.begin("a"); c.begin("b"); c.end("b"); c.add_interval("c", 42); c.end("a")
+        c.inc_counter("k"); c.inc_counter("k", 4); c.inc_counter("j", 2)
+        c.begin("a"); c.end("a")
+
+    def second():
+        c.add_interval("c", 5); c.begin("x"); c.inc_counter("k"); c.end("x")
+
+    for body, name in ((first, "t-one"), (second, "t-two")):
+        th = threading.Thread(target=body, name=name)
+        th.start()
+        th.join(5)
+        assert not th.is_alive()
+    path = tmp_path / "g.csv"
+    c.dump(path)
+    assert path.read_text() == GOLDEN_DUMP
+
+
+def test_recording_builds_no_metric_record(tmp_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("MetricRecord built while recording")
+
+    monkeypatch.setattr(profiler, "MetricRecord", forbidden)
+    profiler.reset()
+    profiler.begin("a")
+    profiler.end("a")
+    profiler.add_interval("b", 5)
+    profiler.inc_counter("k")
+    path = tmp_path / "d.csv"
+    profiler.dump(path)
+    monkeypatch.undo()
+    assert [(r.label, r.kind) for r in parse_dump(path)] == [
+        ("a", KIND_INTERVAL), ("b", KIND_INTERVAL), ("k", KIND_COUNTER)]
+
+
 def _write_dump(path, rows):
     with open(path, "w") as fh:
         fh.write(",".join(DUMP_HEADER) + "\n")
@@ -263,13 +334,16 @@ def test_parse_error_bad_row(tmp_path):
     assert exc.value.line_no == 2
 
 
-def test_intervals_never_negative():
+def test_intervals_never_negative(tmp_path):
     c = Collector("p")
     for _ in range(200):
         c.begin("fast")
         c.end("fast")
-    st = c._state()
-    assert all(r.value >= 0 for r in st.records)
+    path = tmp_path / "d.csv"
+    c.dump(path)
+    records = parse_dump(path)
+    assert len(records) == 200
+    assert all(r.value >= 0 for r in records)
 
 
 def test_dump_concurrent_with_recording(tmp_path):
@@ -318,3 +392,7 @@ def test_write_stats_schema(tmp_path):
     assert row[0] == "lab" and int(row[1]) == 4
     assert float(row[2]) == 2.5
     assert float(row[3]) == pytest.approx(1.2909944487358056, abs=1e-9)
+    write_stats(out, stats, group={"case": "c", "workers": 3})
+    lines = out.read_text().splitlines()
+    assert lines[1] == "case,workers,label,n,mean,stddev,min,max"
+    assert lines[2].startswith("c,3,lab,4,2.5,")

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from tuplespaces import (
     ANY,
+    ConnectionLost,
     DeadlineExceeded,
     LocalSpace,
     PeerDirectory,
@@ -19,7 +20,7 @@ from tuplespaces import (
     template,
 )
 from tuplespaces import profiler
-from tuplespaces.labels import NODE_VISITED
+from tuplespaces.labels import NODE_VISITED, READ_LOCAL
 
 from util import connected, served_space
 
@@ -103,6 +104,24 @@ def test_deadline_exceeded():
     with pytest.raises(DeadlineExceeded):
         search_sequential(d, template("never"), poll_interval=0.001, deadline=0.05)
     assert time.perf_counter() - t0 < 2.0
+
+
+class _Unreachable:
+    def rdp(self, tpl):
+        raise ConnectionLost("peer gone")
+
+
+def test_failed_probe_records_no_read_and_no_lookup(tmp_path):
+    d = PeerDirectory(LocalSpace("self"), [_Unreachable()])
+    profiler.reset()
+    with pytest.raises(ConnectionLost):
+        search_sequential(d, template("x"))
+    path = tmp_path / "d.csv"
+    profiler.dump(path)
+    records = [(r.label, r.kind, r.value if r.kind == profiler.KIND_COUNTER else None)
+               for r in profiler.parse_dump(path)]
+    assert records == [(READ_LOCAL, profiler.KIND_INTERVAL, None),
+                       (NODE_VISITED, profiler.KIND_COUNTER, 2)]
 
 
 def test_factor_update_rule():

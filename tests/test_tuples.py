@@ -20,6 +20,7 @@ from tuplespaces import (
     template,
     template_of,
     wildcard,
+    wire,
 )
 from tuplespaces.tuples import (
     ALL_TAGS,
@@ -29,8 +30,12 @@ from tuplespaces.tuples import (
     LITERAL,
     PatternField,
     Value,
+    bytes_value,
     float_array,
+    float_value,
     int_array,
+    int_value,
+    str_value,
     value_of,
 )
 
@@ -80,6 +85,8 @@ def test_int64_range_enforced():
     make_tuple(-(2**63))
     with pytest.raises(ValueError):
         make_tuple(2**63)
+    with pytest.raises(ValueError):
+        int_value(-(2**63) - 1)
     with pytest.raises(ValueError):
         int_array([0, 2**63])
 
@@ -176,6 +183,70 @@ def test_arity_at_least_one():
         Tuple([])
     with pytest.raises(ValueError):
         Template([])
+    with pytest.raises(ValueError):
+        make_tuple()
+    with pytest.raises(ValueError):
+        template()
+
+
+class _Level(IntEnum):
+    HIGH = 7
+
+
+class _Ratio(float):
+    pass
+
+
+def test_builders_match_the_public_constructors():
+    """make_tuple, template, template_of and the decoders skip the per-field
+    checks of Tuple(...)/Template(...), and build equal objects."""
+    raw_and_value = [
+        ("s", str_value("s")), ("", str_value("")),
+        (0, int_value(0)), (-(2**63), int_value(-(2**63))), (2**63 - 1, int_value(2**63 - 1)),
+        (_Level.HIGH, int_value(_Level.HIGH)),
+        (1.5, float_value(1.5)), (-0.0, float_value(-0.0)), (_nan(3), float_value(_nan(3))),
+        (_Ratio(0.25), float_value(0.25)),
+        (b"\x00b", bytes_value(b"\x00b")), (bytearray(b"ba"), bytes_value(b"ba")),
+        (array("q", [1, -(2**63)]), int_array([1, -(2**63)])), ([3, 4], int_array([3, 4])),
+        (array("d", [0.5, -0.0]), float_array([0.5, -0.0])), ([2.5], float_array([2.5])),
+    ]
+    raw = [r for r, _ in raw_and_value]
+    expected = Tuple([v for _, v in raw_and_value])
+    assert {v.tag for v in expected.fields} == set(ALL_TAGS)
+    expected_tpl = Template([PatternField(LITERAL, value=v) for v in expected.fields])
+    wild = [ANY] + [wildcard(tag) for tag in ALL_TAGS]
+    expected_wild = Template(list(expected_tpl.fields) + wild)
+    built = [
+        (make_tuple(*raw), expected),
+        (wire.decode_tuple(wire.encode_tuple(expected)), expected),
+        (template(*raw), expected_tpl),
+        (template_of(make_tuple(*raw)), expected_tpl),
+        (template(*raw, *wild), expected_wild),
+        (wire.decode_template(wire.encode_template(expected_wild)), expected_wild),
+    ]
+    for got, want in built:
+        assert type(got) is type(want) and type(got.fields) is tuple
+        assert got == want and hash(got) == hash(want)
+    assert ([type(v.data) for v in make_tuple(*raw).fields] ==
+            [type(v.data) for v in expected.fields])
+    for one_raw, value in raw_and_value:
+        assert make_tuple(one_raw) == Tuple([value])
+        assert hash(template(one_raw)) == hash(Template([PatternField(LITERAL, value=value)]))
+
+
+def test_builders_still_reject_what_they_rejected():
+    for bad, exc in ((True, TypeError), (False, TypeError), (2**63, ValueError),
+                     (-(2**63) - 1, ValueError), (None, TypeError), (object(), TypeError),
+                     (array("i", [1]), TypeError), ([], TypeError), ([1, 2.0], TypeError)):
+        with pytest.raises(exc):
+            make_tuple("ok", bad)
+        with pytest.raises(exc):
+            template("ok", bad)
+    # the public constructors keep their per-field checks
+    with pytest.raises(TypeError):
+        Tuple(["raw"])
+    with pytest.raises(TypeError):
+        Template([Value(INT, 1)])
 
 
 def test_array_values_compare_by_content():
