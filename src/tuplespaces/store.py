@@ -7,14 +7,19 @@ iteration is stamp order and removal is O(1).  Selection across buckets is
 by stamp too, so every probe returns the oldest match (FIFO).  That tie-break
 is a determinism choice: it makes the brute-force scan oracle exact.
 
-Each bucket also indexes field 1: for tuples whose field 1 is an int, str or
-bytes value, it maps that raw value to the stamps holding it.  A template
-with a literal of one of those tags at position 1 walks only that value's
-stamps.  Every other template (arity 1, or a wildcard, float or array at
-position 1) scans the whole bucket.  A template with a literal string head
-looks in that one bucket; any other head scans every bucket of its arity.
-Every candidate is still checked with ``match``, so an index entry never
-decides a match on its own.
+Each bucket keeps postings per position: for a position p >= 1 it maps each
+int, str or bytes value held there to the ascending stamps of the entries
+holding it.  Position 1 is indexed from the bucket's first out; a position
+from 2 up is indexed the first time a probe (rdp, inp, count or a waiter's
+registration) brings a template with such a literal there, in one pass over
+the entries in stamp order, and add/remove keep it current until the bucket
+empties and is dropped.  A probe walks the shortest posting list among its
+template's indexable literals, and finds nothing at once when one of them
+has no list.  A template with no such literal (a wildcard, float or array
+at every position after the head) scans the whole bucket.  A template with
+a literal string head looks in that one bucket; any other head scans every
+bucket of its arity.  Every candidate is still checked with ``match``, so a
+posting never decides a match on its own.
 
 Blocking reads and takes register a waiter and park on a per-waiter event.
 No lock is held while parked, so an out on any bucket always proceeds.
@@ -37,8 +42,8 @@ _PENDING = 0
 _SATISFIED = 1
 _CANCELLED = 2
 
-# Field-1 tags the bucket index keys on.  Floats and arrays stay out: NaN and
-# -0.0 defeat a lookup by raw value, and hashing arrays would tax every out.
+# Tags the postings key on.  Floats and arrays stay out: NaN and -0.0 defeat a
+# lookup by raw value, and hashing arrays would tax every out.
 _INDEXED_TAGS = frozenset((INT, STR, BYTES))
 
 
@@ -81,59 +86,98 @@ class Waiter:
 
 
 class _Bucket:
-    """One (arity, head) bucket: its entries and the field-1 index over them."""
+    """One (arity, head) bucket: its entries and their postings by position.
 
-    __slots__ = ("entries", "by_field1")
+    ``postings[p]`` maps each int, str or bytes value at position p to the
+    ascending stamps of the entries holding it, or is None while p is not
+    indexed yet.  ``add`` walks ``indexed`` rather than ``postings``, so an
+    out pays only for the positions indexed so far.
+    """
 
-    def __init__(self):
+    __slots__ = ("entries", "postings", "indexed")
+
+    def __init__(self, arity: int):
         self.entries: dict[int, Tuple] = {}  # stamp -> tuple, in stamp order
-        self.by_field1: dict = {}  # raw field-1 data -> ascending stamps
+        self.postings: list[Optional[dict]] = [None] * arity
+        self.indexed: list[tuple[int, dict]] = []  # (p, postings[p]) per indexed p
+        if arity > 1:
+            self._index(1)
 
     def add(self, stamp: int, tup: Tuple) -> None:
         self.entries[stamp] = tup
-        key = _tuple_field1(tup)
-        if key is not None:
-            self.by_field1.setdefault(key, []).append(stamp)
+        fields = tup.fields
+        for pos, postings in self.indexed:
+            f = fields[pos]
+            if f.tag in _INDEXED_TAGS:
+                stamps = postings.get(f.data)
+                if stamps is None:
+                    postings[f.data] = [stamp]
+                else:
+                    stamps.append(stamp)
 
     def remove(self, stamp: int) -> None:
-        key = _tuple_field1(self.entries.pop(stamp))
-        if key is not None:
-            stamps = self.by_field1[key]
-            stamps.remove(stamp)
-            if not stamps:
-                del self.by_field1[key]
+        fields = self.entries.pop(stamp).fields
+        for pos, postings in self.indexed:
+            f = fields[pos]
+            if f.tag in _INDEXED_TAGS:
+                stamps = postings[f.data]
+                if len(stamps) == 1:
+                    del postings[f.data]
+                else:
+                    stamps.remove(stamp)
 
-    def candidates(self, field1):
-        """(stamp, tuple) pairs in stamp order that a template whose field-1
-        key is ``field1`` may match: one posting list, or every entry."""
-        if field1 is None:
-            return self.entries.items()
+    def _index(self, pos: int) -> dict:
+        """Build position ``pos``'s postings: one pass in stamp order."""
+        postings: dict = {}
+        for stamp, tup in self.entries.items():
+            f = tup.fields[pos]
+            if f.tag in _INDEXED_TAGS:
+                postings.setdefault(f.data, []).append(stamp)
+        self.postings[pos] = postings
+        self.indexed.append((pos, postings))
+        return postings
+
+    def stamps_for(self, tpl: Template):
+        """The shortest posting list among the template's indexable literals
+        (empty when one of them has none), or None when it has no such
+        literal and every entry is a candidate."""
+        fields = tpl.fields
+        best = None
+        for pos in range(1, len(fields)):
+            f = fields[pos]
+            if f.kind != LITERAL or f.tag not in _INDEXED_TAGS:
+                continue
+            postings = self.postings[pos]
+            if postings is None:
+                postings = self._index(pos)
+            stamps = postings.get(f.value.data)
+            if stamps is None:
+                return ()
+            if best is None or len(stamps) < len(best):
+                best = stamps
+        return best
+
+    def first_match(self, tpl: Template):
+        """Oldest (stamp, tuple) the template matches, or None."""
+        stamps = self.stamps_for(tpl)
+        if stamps is None:
+            for stamp, tup in self.entries.items():
+                if match(tpl, tup):
+                    return stamp, tup
+            return None
         entries = self.entries
-        return ((s, entries[s]) for s in self.by_field1.get(field1, ()))
-
-    def first_match(self, tpl: Template, field1):
-        for stamp, tup in self.candidates(field1):
+        for stamp in stamps:
+            tup = entries[stamp]
             if match(tpl, tup):
                 return stamp, tup
         return None
 
-
-def _tuple_field1(tup: Tuple):
-    """Index key of a tuple's field 1, or None when that field is not indexed."""
-    fields = tup.fields
-    if len(fields) > 1 and fields[1].tag in _INDEXED_TAGS:
-        return fields[1].data
-    return None
-
-
-def _template_field1(tpl: Template):
-    """Index key of a template's field 1: set only for an indexed literal."""
-    fields = tpl.fields
-    if len(fields) > 1:
-        f = fields[1]
-        if f.kind == LITERAL and f.tag in _INDEXED_TAGS:
-            return f.value.data
-    return None
+    def count(self, tpl: Template) -> int:
+        stamps = self.stamps_for(tpl)
+        if stamps is None:
+            return sum(1 for tup in self.entries.values() if match(tpl, tup))
+        entries = self.entries
+        return sum(1 for s in stamps if match(tpl, entries[s]))
 
 
 class LocalSpace:
@@ -166,10 +210,9 @@ class LocalSpace:
 
     def _find_earliest(self, tpl: Template):
         """Earliest matching (stamp, key, tuple) or None.  Lock held."""
-        field1 = _template_field1(tpl)
         best = None
         for key in self._candidate_keys(tpl):
-            found = self._buckets[key].first_match(tpl, field1)
+            found = self._buckets[key].first_match(tpl)
             if found is not None and (best is None or found[0] < best[0]):
                 best = (found[0], key, found[1])
         return best
@@ -216,7 +259,7 @@ class LocalSpace:
                 key = self.bucket_key(tup)
                 bucket = self._buckets.get(key)
                 if bucket is None:
-                    bucket = self._buckets[key] = _Bucket()
+                    bucket = self._buckets[key] = _Bucket(tup.arity)
                 bucket.add(self._stamp, tup)
         for w in to_complete:
             w.event.set()
@@ -241,13 +284,8 @@ class LocalSpace:
 
     def count(self, tpl: Template) -> int:
         with self._lock:
-            field1 = _template_field1(tpl)
-            total = 0
-            for key in self._candidate_keys(tpl):
-                for _, tup in self._buckets[key].candidates(field1):
-                    if match(tpl, tup):
-                        total += 1
-            return total
+            buckets = self._buckets
+            return sum(buckets[key].count(tpl) for key in self._candidate_keys(tpl))
 
     def register_waiter(self, tpl: Template, destructive: bool,
                         on_complete: Optional[Callable[[Waiter], None]] = None) -> Waiter:
@@ -335,7 +373,7 @@ class LocalSpace:
     def check_wakeup_completeness(self) -> bool:
         """At quiescence no registered waiter may match a stored tuple."""
         with self._lock:
-            # A full bucket scan, so the check does not trust the field-1 index.
+            # A full bucket scan, so the check does not trust the postings.
             for w in self._waiters.values():
                 for key in self._candidate_keys(w.template):
                     for tup in self._buckets[key].entries.values():

@@ -364,3 +364,15 @@ def test_node_visited_counter_present(tmp_path):
                 if rec.label == NODE_VISITED]
     assert counters and all(rec.kind == "counter" for rec in counters)
     assert sum(rec.value for rec in counters) == r.node_visited_total
+
+
+def test_node_visited_total_matches_dump_matmul(tmp_path):
+    # b_on_one fixes the count: worker 0 hits locally (1 visit per lookup),
+    # the other worker misses locally and hits worker 0 (2 visits).
+    cfg = BenchConfig(case="matmul", workers=2, size=8, reps=1, seed=3, deadline=30,
+                      distribution="b_on_one")
+    r = run_one(cfg, tmp_path=tmp_path)
+    assert r.correct
+    counters = [rec for rec in profiler.parse_dump(r.dump_paths[0])
+                if rec.label == NODE_VISITED]
+    assert sum(rec.value for rec in counters) == r.node_visited_total == 8 * (4 + 2 * 4)

@@ -15,11 +15,14 @@ from tuplespaces import (
     SpaceTimeout,
     Template,
     WaiterCancelled,
+    float_array,
+    lit,
     make_tuple,
     template,
     template_of,
     wildcard,
 )
+from tuplespaces import store as store_mod
 from tuplespaces.rng import SplitMix64
 from tuplespaces.tuples import LITERAL
 
@@ -298,6 +301,11 @@ def _script_universe(rng):
             tuples.append(make_tuple(h, x))
             tuples.append(make_tuple(h, x, "pad"))
     tuples.append(make_tuple(0))
+    for h in heads:
+        for x in range(2):
+            for y in ("p", "q", 1):
+                for z in (0, "0"):
+                    tuples.append(make_tuple(h, x, y, z))
     return tuples
 
 
@@ -307,6 +315,11 @@ def test_index_transparency_scripts():
     universe = _script_universe(rng)
     templates = [template_from_tuple(rng, t) for t in universe for _ in range(2)]
     templates += [template(ANY, ANY), template("a", ANY), template(wildcard(INT), ANY)]
+    # Several literals after the head, some of them with no posting list.
+    templates += [template("a", 1, "p", ANY), template(ANY, ANY, "q", 0),
+                  template("b", ANY, 1, "0"), template(wildcard(STR), 0, ANY, "0"),
+                  template(1, 1, "q", "0"), template("a", 5, "p", ANY),
+                  template(ANY, 0, "zz", ANY), template(ANY, ANY, ANY, b"0")]
     for script in range(60):
         sp = LocalSpace()
         shadow = ShadowSpace()
@@ -328,18 +341,20 @@ def test_index_transparency_scripts():
         assert sp.snapshot() == shadow.snapshot()
 
 
-def _collision_universe():
-    """Tuples whose position-1 values collide across tags, plus arity 1.
-
-    Each call builds fresh NaN objects, so a lookup keyed on the raw float
-    cannot succeed through object identity.
-    """
+def _colliding_values():
+    """Values that collide across tags or bit patterns, with fresh NaN objects
+    on each call, so a lookup keyed on a raw float cannot succeed through
+    object identity."""
     other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    return [1, 1.0, -0.0, 0.0, float("nan"), other_nan, "1", b"1", [1], [1.0]]
+
+
+def _collision_universe():
+    """Tuples whose position-1 values collide across tags, plus arity 1."""
     heads = ["h", "k", 1, 2.5, b"h"]
-    seconds = [1, 1.0, -0.0, 0.0, float("nan"), other_nan, "1", b"1", [1], [1.0]]
     tuples = [make_tuple(h) for h in heads]
     for h in heads:
-        for x in seconds:
+        for x in _colliding_values():
             tuples.append(make_tuple(h, x))
             tuples.append(make_tuple(h, x, "pad"))
     return tuples
@@ -385,6 +400,220 @@ def test_field1_index_collisions_match_scan_oracle():
             else:
                 assert sp.count(tpl) == shadow.count(tpl)
         assert sp.snapshot() == shadow.snapshot()
+
+
+def _positional_collision_universe():
+    """Arity-3 and arity-4 tuples with the colliding values at positions 2-3."""
+    tuples = []
+    for h in ("h", 1):
+        for a in (1, "1"):
+            for b in _colliding_values():
+                tuples.append(make_tuple(h, a, b))
+                for c in _colliding_values():
+                    tuples.append(make_tuple(h, a, b, c))
+    return tuples
+
+
+def _positional_collision_template(rng, base, values, absent):
+    """A template shaped on ``base``: at each position after the head, the
+    base's own value, ANY, a colliding value, or a value no tuple holds (so
+    no posting list has it)."""
+    head = base.fields[0]
+    fields = [(PatternField(LITERAL, value=head), wildcard(head.tag), ANY)[rng.below(3)]]
+    for v in base.fields[1:]:
+        k = rng.below(5)
+        if k <= 1:
+            fields.append(PatternField(LITERAL, value=v))
+        elif k == 2:
+            fields.append(ANY)
+        elif k == 3:
+            fields.append(lit(values[rng.below(len(values))]))
+        else:
+            fields.append(lit(absent[rng.below(len(absent))]))
+    return Template(fields)
+
+
+def test_index_collisions_at_every_position_match_scan_oracle():
+    """Colliding values (1, 1.0, -0.0, NaN, "1", b"1", arrays) at positions 2
+    and 3, under templates with several literals, select exactly what a flat
+    scan selects."""
+    rng = SplitMix64(13)
+    universe = _positional_collision_universe()
+    values = _colliding_values()
+    absent = [2, "2", b"2"]
+    for script in range(40):
+        sp = LocalSpace()
+        shadow = ShadowSpace()
+        for _ in range(150):
+            op = rng.below(4)
+            if op == 0:
+                t = universe[rng.below(len(universe))]
+                sp.out(t)
+                shadow.out(t)
+                continue
+            stored = shadow.snapshot()
+            base = stored[rng.below(len(stored))] if stored and rng.below(4) else \
+                universe[rng.below(len(universe))]
+            tpl = _positional_collision_template(rng, base, values, absent)
+            if op == 1:
+                assert sp.rdp(tpl) == shadow.rdp(tpl)
+            elif op == 2:
+                assert sp.inp(tpl) == shadow.inp(tpl)
+            else:
+                assert sp.count(tpl) == shadow.count(tpl)
+        assert sp.snapshot() == shadow.snapshot()
+
+
+def _indexed_positions(sp, key):
+    return sorted(pos for pos, _ in sp._buckets[key].indexed)
+
+
+def _row(i):
+    # ("r", a, s, b, serial): the serial makes every tuple distinct, so a
+    # FIFO slip shows as a different tuple.
+    return make_tuple("r", i % 5, "s%d" % (i % 3), i % 7, i)
+
+
+def _row_template(rng):
+    return template("r",
+                    rng.below(5) if rng.below(2) else ANY,
+                    "s%d" % rng.below(4) if rng.below(2) else ANY,
+                    rng.below(8) if rng.below(2) else ANY,
+                    ANY)
+
+
+def _probe_both(sp, shadow, kind, tpl):
+    """One probe on the store and the oracle; a registered waiter is a take
+    that parks (and is cancelled) when nothing matches."""
+    if kind == "rdp":
+        assert sp.rdp(tpl) == shadow.rdp(tpl)
+    elif kind == "inp":
+        assert sp.inp(tpl) == shadow.inp(tpl)
+    elif kind == "count":
+        assert sp.count(tpl) == shadow.count(tpl)
+    else:
+        w = sp.register_waiter(tpl, destructive=True)
+        expected = shadow.inp(tpl)
+        if expected is None:
+            assert not w.satisfied
+            assert w.cancel()
+        else:
+            assert w.satisfied and w.result == expected
+
+
+@pytest.mark.parametrize("first", ["rdp", "inp", "count", "register_waiter"])
+def test_lazy_position_index_matches_scan_oracle(first):
+    """A position first probed after many outs and takes, through each probe
+    kind, answers as a flat scan does, and stays current afterwards."""
+    rng = SplitMix64(17)
+    sp = LocalSpace()
+    shadow = ShadowSpace()
+    for serial in range(400):
+        sp.out(_row(serial))
+        shadow.out(_row(serial))
+        if serial % 4 == 3:
+            _probe_both(sp, shadow, "inp", template("r", rng.below(5), ANY, ANY, ANY))
+    assert _indexed_positions(sp, (5, "r")) == [1]
+
+    for tpl in (template("r", ANY, "s1", ANY, ANY), template("r", ANY, ANY, 3, ANY),
+                template("r", 2, "s0", 6, ANY), template("r", ANY, "s9", 1, ANY),
+                template("r", ANY, ANY, ANY, 399)):
+        _probe_both(sp, shadow, first, tpl)
+    assert _indexed_positions(sp, (5, "r")) == [1, 2, 3, 4]
+
+    if first == "register_waiter":
+        # A taker parked on literals at positions 2 and 3 (no row holds b = 7)
+        # takes the out that matches it, before any probe sees that tuple.
+        w = sp.register_waiter(template("r", ANY, "s2", 7, ANY), destructive=True)
+        assert not w.satisfied
+        serial += 1
+        sp.out(make_tuple("r", 0, "s2", 7, serial))
+        assert w.satisfied and w.result == make_tuple("r", 0, "s2", 7, serial)
+
+    kinds = ("rdp", "inp", "count", "register_waiter")
+    for _ in range(600):
+        if rng.below(3) == 0:
+            serial += 1
+            sp.out(_row(serial))
+            shadow.out(_row(serial))
+        else:
+            _probe_both(sp, shadow, kinds[rng.below(4)], _row_template(rng))
+    assert sp.snapshot() == shadow.snapshot()
+    assert sp.pending_waiter_count() == 0
+
+
+def test_emptied_bucket_is_recreated_with_position1_index_only():
+    """Postings learned by a bucket go with it when it empties; the new
+    bucket learns them again and still answers as a flat scan does."""
+    rng = SplitMix64(19)
+    sp = LocalSpace()
+    shadow = ShadowSpace()
+    for i in range(50):
+        sp.out(_row(i))
+        shadow.out(_row(i))
+    _probe_both(sp, shadow, "rdp", template("r", ANY, "s2", ANY, ANY))
+    assert _indexed_positions(sp, (5, "r")) == [1, 2]
+    while shadow.snapshot():
+        _probe_both(sp, shadow, "inp", template("r", ANY, ANY, ANY, ANY))
+    assert sp.size() == 0 and (5, "r") not in sp._buckets
+
+    for i in range(50, 120):
+        sp.out(_row(i))
+        shadow.out(_row(i))
+    assert _indexed_positions(sp, (5, "r")) == [1]
+    for _ in range(300):
+        _probe_both(sp, shadow, ("rdp", "inp", "count")[rng.below(3)], _row_template(rng))
+    assert _indexed_positions(sp, (5, "r")) == [1, 2, 3]
+    assert sp.snapshot() == shadow.snapshot()
+
+
+def _counting_match(monkeypatch):
+    """Count store.match calls the way the tracer does: patch the module
+    global the store looks up."""
+    calls = [0]
+    original = store_mod.match
+
+    def counted(tpl, tup):
+        calls[0] += 1
+        return original(tpl, tup)
+
+    monkeypatch.setattr(store_mod, "match", counted)
+    return calls
+
+
+@pytest.mark.parametrize("iters", [20, 200])
+def test_border_probe_walks_at_most_two_candidates(monkeypatch, iters):
+    """Ocean's border probe (border, k, t, side, ANY) on one worker's store:
+    borders of every step and both sides stay stored, yet each probe checks
+    at most the two borders of its step."""
+    calls = _counting_match(monkeypatch)
+    sp = LocalSpace()
+    k = 3
+    for t in range(1, iters + 1):
+        probes = [template("border", k, t, side, ANY) for side in ("left", "right")]
+        for tpl in probes:  # a neighbour early: nothing for this step yet
+            before = calls[0]
+            assert sp.rdp(tpl) is None
+            assert calls[0] - before <= 2
+        for side in ("left", "right"):
+            sp.out(make_tuple("border", k, t, side, float_array([0.5] * 4)))
+        for tpl in probes:
+            before = calls[0]
+            assert sp.rdp(tpl) is not None
+            assert calls[0] - before <= 2
+    assert sp.size() == 2 * iters
+
+
+def test_field1_probe_checks_exactly_one_candidate(monkeypatch):
+    """Password's table probe (hashSet, h, ANY) checks only the entry for h."""
+    sp = LocalSpace()
+    for i in range(2000):
+        sp.out(make_tuple("hashSet", "h%d" % i, str(i)))
+    calls = _counting_match(monkeypatch)
+    for i in range(0, 2000, 97):
+        before = calls[0]
+        assert sp.rdp(template("hashSet", "h%d" % i, ANY)) == make_tuple("hashSet", "h%d" % i, str(i))
+        assert calls[0] - before == 1
 
 
 @pytest.mark.parametrize("literal_first", [True, False])
