@@ -106,12 +106,6 @@ class RoleHandles:
             profiler.add_interval(READ_LOCAL, time.perf_counter_ns() - t0)
         return got
 
-    def rd_local(self, tpl: Template) -> Tuple:
-        t0 = time.perf_counter_ns()
-        got = self.local.rd(tpl, timeout=self.remaining())
-        profiler.add_interval(READ_LOCAL, time.perf_counter_ns() - t0)
-        return got
-
     def take_remote(self, remote: RemoteSpace, tpl: Template) -> Tuple:
         t0 = time.perf_counter_ns()
         got = remote.in_(tpl, timeout=self.remaining())

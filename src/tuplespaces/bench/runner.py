@@ -5,6 +5,14 @@ Three topologies:
 * threads -- every role is a thread of this process, each with its own local
   space served on a loopback port; cross-role traffic still flows through
   TCP, so the communication structure matches the multi-process layouts.
+  A threads-mode rep runs on one CPU: the runner thread narrows its own
+  affinity mask to the lowest CPU it may use before any server starts, every
+  thread of the rep inherits that mask, and the old mask comes back when the
+  rep ends, even when it fails.  The interpreter runs one thread at a time
+  anyway; spread over several CPUs, each GIL hand-off of a round trip
+  (requester to server thread and back) becomes a cross-CPU wake-up, which
+  one CPU avoids at the price of a wider per-rep spread and round-trip tail.
+  Procs and hosts roles are separate processes and keep the whole machine.
 * procs   -- every role is a spawned local process (`run-role` entry point);
   roles find each other through pre-assigned ports.
 * hosts   -- addresses come from a hosts file (master first); this process
@@ -144,6 +152,18 @@ def _master_handles(cfg, rep_index, rep_seed, run_key, addresses, space, deadlin
 
 
 def run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) -> CaseResult:
+    if not hasattr(os, "sched_setaffinity"):
+        return _run_rep_threads(cfg, rep_index, run_key, dump_path)
+    # Every thread the rep starts inherits this mask (see the module docstring).
+    saved_cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(saved_cpus)})
+    try:
+        return _run_rep_threads(cfg, rep_index, run_key, dump_path)
+    finally:
+        os.sched_setaffinity(0, saved_cpus)
+
+
+def _run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) -> CaseResult:
     rep_seed = (cfg.seed + rep_index) & ((1 << 64) - 1)
     names = role_names(cfg.workers)
     started = time.monotonic()

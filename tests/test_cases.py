@@ -31,6 +31,7 @@ from tuplespaces.bench.reference import (
 )
 from tuplespaces.bench.roles import RoleHandles
 from tuplespaces.bench.runner import run_rep_threads
+from tuplespaces.server import SpaceServer
 
 
 def run_one(cfg, rep=0, key="test", tmp_path=None):
@@ -300,6 +301,46 @@ def test_matmul_record_counts_per_label(tmp_path):
         (NODE_VISITED, profiler.KIND_COUNTER): 2,
     }
     assert not os.path.exists(r.dump_paths[0] + ".diag")  # a clean rep has no diagnostics
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a thread affinity mask with more than one CPU")
+def test_threads_rep_runs_on_one_cpu(tmp_path, monkeypatch):
+    seen = {}
+    run_master, run_worker, serve_conn = (matmul_mod.run_master, matmul_mod.run_worker,
+                                          SpaceServer._serve_conn)
+
+    def master(h):
+        seen["master"] = os.sched_getaffinity(0)
+        return run_master(h)
+
+    def worker(h):
+        seen[h.role_name] = os.sched_getaffinity(0)
+        run_worker(h)
+
+    def serve(self, conn):
+        seen.setdefault("conn", os.sched_getaffinity(0))
+        serve_conn(self, conn)
+
+    monkeypatch.setattr(matmul_mod, "run_master", master)
+    monkeypatch.setattr(matmul_mod, "run_worker", worker)
+    monkeypatch.setattr(SpaceServer, "_serve_conn", serve)
+    before = os.sched_getaffinity(0)
+    cfg = BenchConfig(case="matmul", workers=2, size=4, reps=1, seed=1, deadline=30)
+    r = run_one(cfg, tmp_path=tmp_path, key="pinned")
+    assert r.correct
+    assert set(seen) == {"master", "worker0", "worker1", "conn"}
+    assert all(len(cpus) == 1 for cpus in seen.values())
+    assert os.sched_getaffinity(0) == before
+
+    def broken(h):
+        raise RuntimeError("role down")
+
+    monkeypatch.setattr(matmul_mod, "run_master", broken)
+    monkeypatch.setattr(matmul_mod, "run_worker", broken)
+    r = run_one(cfg, tmp_path=tmp_path, key="pinned_fail")
+    assert not r.correct and "role down" in r.error
+    assert os.sched_getaffinity(0) == before
 
 
 class _Unreachable:
