@@ -58,6 +58,7 @@ class RoleHandles:
     directory: PeerDirectory | None = None
     stats: SuccessStats | None = None
     _run_seq: int = 0
+    runtime_t0: int = 0  # master: perf_counter_ns() when TotalRuntime starts
 
     def remaining(self) -> float:
         left = self.deadline_at - time.monotonic()
@@ -96,14 +97,6 @@ class RoleHandles:
         t0 = time.perf_counter_ns()
         got = self.local.in_(tpl, timeout=self.remaining())
         profiler.add_interval(READ_LOCAL, time.perf_counter_ns() - t0)
-        return got
-
-    def probe_local_take(self, tpl: Template) -> Tuple | None:
-        """Non-blocking take; records a read only when it hits."""
-        t0 = time.perf_counter_ns()
-        got = self.local.inp(tpl)
-        if got is not None:
-            profiler.add_interval(READ_LOCAL, time.perf_counter_ns() - t0)
         return got
 
     def take_remote(self, remote: RemoteSpace, tpl: Template) -> Tuple:
@@ -167,9 +160,9 @@ def master_barriers(h: RoleHandles) -> None:
         h.take_local(ready)
     for _ in range(h.cfg.workers):
         h.take_local(loaded)
-    profiler.begin(TOTAL_RUNTIME)
+    h.runtime_t0 = time.perf_counter_ns()
     h.out_local(make_tuple(SEARCH_GROUP, MASTER_KEY, h.run_key))
 
 
 def master_stop_timer(h: RoleHandles) -> None:
-    profiler.end(TOTAL_RUNTIME)
+    profiler.add_interval(TOTAL_RUNTIME, time.perf_counter_ns() - h.runtime_t0)

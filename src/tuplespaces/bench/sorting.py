@@ -4,21 +4,23 @@ The master seeds one worker with the unsorted array; every worker then
 repeatedly acquires an unsorted tuple destructively (own space first, then
 the others, via the configured strategy).  Oversized pieces are split at the
 midpoint with the first half stored locally for anyone to steal; pieces at or
-below the threshold are sorted and shipped to the master, chunked when they
-would not fit a frame.  Completion is signalled in-band: one empty unsorted
-array per worker acts as the poison pill (a worker stops at its first pill,
-so pills cannot starve anyone), alongside the sort_complete notice.
+below the threshold are sorted and shipped to the master as
+(sorted, run_id, idx, count, array) pieces: one piece, idx 0 of count 1,
+unless the run would not fit a frame.  Completion is signalled in-band: one
+empty unsorted array per worker acts as the poison pill (a worker stops at
+its first pill, so pills cannot starve anyone), alongside the sort_complete
+notice.
 
 Arrays stay packed ``array('q')`` buffers from generation to the wire:
 workers split a taken array by slicing and sort each piece with ``sorted``.
-The master extends one list with every run as it arrives (chunked runs once
-reassembled) and sorts that list once: Timsort detects each ascending run and
-merges them in C, giving the same result as a k-way merge of the runs.
+The master takes the pieces with one blocking take each, extends one list
+with every run as it completes (chunked runs once reassembled) and sorts
+that list once: Timsort detects each ascending run and merges them in C,
+giving the same result as a k-way merge of the runs.
 """
 
 from __future__ import annotations
 
-import time
 from itertools import islice
 from operator import le
 from typing import Sequence
@@ -29,7 +31,6 @@ from .config import (
     CaseResult,
     SORT_COMPLETE_NAME,
     SORTED_NAME,
-    SORTED_PART_NAME,
     UNSORTED_NAME,
 )
 from .reference import digest_ints, sort_input
@@ -56,13 +57,10 @@ def split_for_transport(data: Sequence[int], cap: int | None = None) -> list[Seq
 
 def send_sorted_run(h: RoleHandles, run: Sequence[int], cap: int | None = None) -> None:
     cap = CHUNK_ELEMENTS if cap is None else cap
-    if len(run) <= cap:
-        h.out_remote(h.master, make_tuple(SORTED_NAME, int_array(run)))
-        return
-    pieces = [run[i:i + cap] for i in range(0, len(run), cap)]
+    pieces = [run[i:i + cap] for i in range(0, len(run), cap)] if len(run) > cap else [run]
     run_id = h.alloc_run_id()
     for idx, piece in enumerate(pieces):
-        h.out_remote(h.master, make_tuple(SORTED_PART_NAME, run_id, idx, len(pieces),
+        h.out_remote(h.master, make_tuple(SORTED_NAME, run_id, idx, len(pieces),
                                           int_array(piece)))
 
 
@@ -73,32 +71,22 @@ def run_master(h: RoleHandles) -> CaseResult:
     for piece in split_for_transport(data):
         h.out_remote(h.worker_remotes[0], make_tuple(UNSORTED_NAME, int_array(piece)))
 
-    sorted_tpl = template(SORTED_NAME, wildcard(INT_ARRAY))
-    part_tpl = template(SORTED_PART_NAME, wildcard(INT), wildcard(INT), wildcard(INT),
-                        wildcard(INT_ARRAY))
+    sorted_tpl = template(SORTED_NAME, wildcard(INT), wildcard(INT), wildcard(INT),
+                          wildcard(INT_ARRAY))
     merged: list[int] = []
     runs: list[Sequence[int]] = []  # kept to check, off the clock, that each ascends
-    partial: dict[int, dict] = {}
+    partial: dict[int, dict[int, Sequence[int]]] = {}  # run_id -> idx -> piece
     while len(merged) < n:
-        got = h.probe_local_take(sorted_tpl)
-        if got is not None:
-            run = got.fields[1].data
-            merged.extend(run)
-            runs.append(run)
-            continue
-        got = h.probe_local_take(part_tpl)
-        if got is not None:
-            run_id = got.fields[1].data
-            entry = partial.setdefault(run_id, {"parts": {}, "count": got.fields[3].data})
-            entry["parts"][got.fields[2].data] = got.fields[4].data
-            if len(entry["parts"]) == entry["count"]:
-                run = [x for idx in range(entry["count"]) for x in entry["parts"][idx]]
-                merged.extend(run)
-                runs.append(run)
-                del partial[run_id]
-            continue
-        h.remaining()  # raises DeadlineExceeded when the budget is gone
-        time.sleep(h.cfg.poll_interval)
+        _, run_id, idx, count, run = (f.data for f in h.take_local(sorted_tpl).fields)
+        if count > 1:
+            parts = partial.setdefault(run_id, {})
+            parts[idx] = run
+            if len(parts) < count:
+                continue
+            del partial[run_id]
+            run = [x for i in range(count) for x in parts[i]]
+        merged.extend(run)
+        runs.append(run)
 
     merged.sort()
     for k in range(h.cfg.workers):

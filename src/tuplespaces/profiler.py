@@ -1,22 +1,21 @@
 """Manual profiler: labeled interval timers, per-thread counters, CSV dumps.
 
-A hot path times a section in three steps: ``t0 = time.perf_counter_ns()``,
-the operation, then ``add_interval(label, time.perf_counter_ns() - t0)``.
-An operation that raises records nothing, and a caller may record only some
-outcomes (a probe only when it hits).  ``begin(label)``/``end(label)`` remain
-for a span that opens and closes in different functions; distinct labels
-may overlap and each label nests LIFO per thread.  Counters accumulate per
-thread and materialize as records when dumped.  Every process writes its
-own dump file; aggregation reads any number of dump files and reduces each
-label to count / mean / sample standard deviation / min / max.
+Every section is timed the same way, in three steps:
+``t0 = time.perf_counter_ns()``, the operation, then
+``add_interval(label, time.perf_counter_ns() - t0)``.  An operation that
+raises records nothing, and a caller may record only some outcomes (a probe
+only when it hits).  A span that opens and closes in different functions
+keeps its ``t0`` where both can reach it (the master's total-runtime timer
+keeps it on its role handles).  Counters accumulate per thread and
+materialize as records when dumped.  Every process writes its own dump
+file; aggregation reads any number of dump files and reduces each label to
+count / mean / sample standard deviation / min / max.
 
 Timing uses the monotonic nanosecond clock; wall-clock time never enters
 the numbers.  Recording is not free next to the sections it times: on a
 2-vCPU host (Python 3.11, best of 7 over 20k calls) a ``t0`` +
-``add_interval`` section costs 0.8-1.0 µs and a ``begin``/``end`` pair
-1.2-1.5 µs, where a pair cost 2.5-3.0 µs while every interval built a
-record object, and a ``LocalSpace.out`` costs 1.4-1.5 µs.  Under host load
-all of these about double.
+``add_interval`` section costs 0.8-1.0 µs, and a ``LocalSpace.out``
+1.4-1.5 µs.  Under host load both about double.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import csv
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,17 +65,15 @@ class MetricStats:
 
 class _ThreadState:
     """One thread's buffers.  ``lock`` guards what dump() swaps out (records,
-    counters, seq); the begin/end stacks are touched by their own thread only.
-    """
+    counters, seq)."""
 
-    __slots__ = ("lock", "thread", "records", "counters", "stacks", "seq", "gen")
+    __slots__ = ("lock", "thread", "records", "counters", "seq", "gen")
 
     def __init__(self, thread: threading.Thread, gen: int):
         self.lock = threading.Lock()
         self.thread = thread
         self.records: list[tuple] = []  # dump rows, in DUMP_HEADER order
         self.counters: dict[str, int] = {}
-        self.stacks: dict[str, list[int]] = {}
         self.seq = 0
         self.gen = gen
 
@@ -101,7 +97,6 @@ class Collector:
         self._tls = threading.local()
         self._states: list[_ThreadState] = []
         self._gen = 0
-        self.diagnostics: list[str] = []
 
     def set_process(self, name: str) -> None:
         self.process = name
@@ -117,25 +112,6 @@ class Collector:
         return st
 
     # -- recording ----------------------------------------------------------
-
-    def begin(self, label: str) -> None:
-        self._state().stacks.setdefault(label, []).append(time.perf_counter_ns())
-
-    def end(self, label: str) -> None:
-        t1 = time.perf_counter_ns()
-        stack = self._state().stacks.get(label)
-        if not stack:
-            with self._lock:
-                self.diagnostics.append(
-                    f"unmatched end({label!r}) on thread {threading.current_thread().name}")
-            return
-        self.add_interval(label, t1 - stack.pop())
-
-    def discard(self, label: str) -> None:
-        """Drop the innermost pending begin(label) without emitting a record."""
-        stack = self._state().stacks.get(label)
-        if stack:
-            stack.pop()
 
     def add_interval(self, label: str, value_ns: int) -> None:
         """Record an interval the caller measured with time.perf_counter_ns()."""
@@ -165,7 +141,6 @@ class Collector:
         with self._lock:
             self._gen += 1
             self._states.clear()
-            self.diagnostics.clear()
 
     # -- dump ----------------------------------------------------------------
 
@@ -173,12 +148,10 @@ class Collector:
         """Write all buffered records as CSV and clear the buffers.
 
         Counters flush as one counter record per (thread, label).  Records
-        emitted after the dump starts land in the next dump.  Diagnostics
-        (unmatched ends), if any, go one per line to ``path + ".diag"``.
+        emitted after the dump starts land in the next dump.
         """
         with self._lock:
             states = list(self._states)
-            diagnostics, self.diagnostics = self.diagnostics, []
         rows: list[tuple] = []
         for st in states:
             with st.lock:
@@ -194,9 +167,6 @@ class Collector:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(DUMP_HEADER)
             writer.writerows(rows)
-        if diagnostics:
-            with open(os.fspath(path) + ".diag", "w", encoding="utf-8") as fh:
-                fh.writelines(d + "\n" for d in diagnostics)
 
 
 # -- aggregation --------------------------------------------------------------
@@ -273,9 +243,6 @@ def write_stats(path, stats, group: dict | None = None) -> None:
 _default = Collector()
 
 set_process = _default.set_process
-begin = _default.begin
-end = _default.end
-discard = _default.discard
 add_interval = _default.add_interval
 inc_counter = _default.inc_counter
 counter_total = _default.counter_total

@@ -200,7 +200,7 @@ def search_notify(directory: PeerDirectory, tpl: Template,
                     state["lost"] += 1
         done.wait(deadline)
     finally:
-        local_waiter.cancel()
+        directory.local.cancel_waiter(local_waiter)
         for peer, pending in remote_legs:
             peer.cancel(pending)
     with lock:

@@ -2,10 +2,14 @@
 
 Each accepted connection gets a reader thread that decodes frames and
 dispatches operations.  Fast operations (out / probes / count) are answered
-inline; blocking RD/IN requests register a waiter on the store and reply from
-whichever thread satisfies them, so a parked request never occupies the
-connection and never delays later frames on it.  CANCEL deregisters a parked
-waiter and answers REPLY_NONE when it wins the race against satisfaction.
+inline; a blocking RD/IN request enters the connection's table of pending
+requests and then registers a waiter whose callback replies from whichever
+thread satisfies it, so a parked request never occupies the connection and
+never delays later frames on it.  The callback runs once for every outcome
+and is what removes the request from the table and stops its timer.  A timed
+request that parks gets a timer; the timeout, CANCEL and shutdown each
+cancel the waiter and send their own reply only when that cancel wins the
+race against satisfaction, so every request gets exactly one reply.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ class _Connection:
         self.sock = sock
         self.file = sock.makefile("rb")
         self.write_lock = threading.Lock()
-        self.waiters: dict[int, tuple[Waiter, threading.Timer | None]] = {}
+        # request id -> [waiter, timer]; the waiter is None until registered
+        self.waiters: dict[int, list] = {}
         self.wlock = threading.Lock()
         self.peer_name = "?"
 
@@ -107,12 +112,11 @@ class SpaceServer:
             conn.close()
 
     def _abort_waiters(self, conn: _Connection) -> None:
+        # An entry whose waiter is still being registered (stop() racing the
+        # connection thread) stays for the connection thread's own final call.
         with conn.wlock:
-            entries = list(conn.waiters.items())
-            conn.waiters.clear()
-        for request_id, (waiter, timer) in entries:
-            if timer is not None:
-                timer.cancel()
+            entries = [(rid, e[0]) for rid, e in conn.waiters.items() if e[0] is not None]
+        for request_id, waiter in entries:
             if self.space.cancel_waiter(waiter):
                 conn.send(wire.build_frame(
                     wire.MSG_REPLY_ERR, request_id,
@@ -210,55 +214,41 @@ class SpaceServer:
             self._reply_probe(conn, request_id, probe(tpl))
             return
 
+        entry = [None, None]
+
         def on_complete(w: Waiter) -> None:
-            if not w.satisfied:
-                return  # cancellation paths send their own replies
             with conn.wlock:
-                entry = conn.waiters.pop(request_id, None)
-            if entry is None:
-                return  # another path already claimed the reply
+                conn.waiters.pop(request_id, None)
             if entry[1] is not None:
                 entry[1].cancel()
-            conn.send(wire.build_frame(wire.MSG_REPLY_TUPLE, request_id,
-                                       wire.encode_tuple(w.result)))
+            if w.satisfied:  # the cancelling path sends its own reply
+                conn.send(wire.build_frame(wire.MSG_REPLY_TUPLE, request_id,
+                                           wire.encode_tuple(w.result)))
 
-        waiter = self.space.register_waiter(tpl, destructive, on_complete=None)
-        if waiter.satisfied:
-            conn.send(wire.build_frame(wire.MSG_REPLY_TUPLE, request_id,
-                                       wire.encode_tuple(waiter.result)))
-            return
-        waiter.on_complete = on_complete
-        timer = None
-        if timeout_ms != wire.INFINITE_MS:
-            def on_timeout():
-                if self.space.cancel_waiter(waiter):
-                    with conn.wlock:
-                        conn.waiters.pop(request_id, None)
-                    conn.send(wire.build_frame(
-                        wire.MSG_REPLY_ERR, request_id,
-                        wire.pack_err(wire.ERR_TIMEOUT, f"no match within {timeout_ms} ms")))
-            timer = threading.Timer(timeout_ms / 1000.0, on_timeout)
-            timer.daemon = True
         with conn.wlock:
-            conn.waiters[request_id] = (waiter, timer)
-        if timer is not None:
-            timer.start()
-        # Waiter may have been satisfied between registration and callback
-        # installation; complete it here if so (single reply is guaranteed by
-        # the pop of conn.waiters).
-        if waiter.satisfied:
-            on_complete(waiter)
+            conn.waiters[request_id] = entry
+        waiter = entry[0] = self.space.register_waiter(tpl, destructive, on_complete)
+        if waiter.satisfied or timeout_ms == wire.INFINITE_MS:
+            return
+
+        def on_timeout() -> None:
+            if self.space.cancel_waiter(waiter):
+                conn.send(wire.build_frame(
+                    wire.MSG_REPLY_ERR, request_id,
+                    wire.pack_err(wire.ERR_TIMEOUT, f"no match within {timeout_ms} ms")))
+
+        timer = threading.Timer(timeout_ms / 1000.0, on_timeout)
+        timer.daemon = True
+        with conn.wlock:
+            if conn.waiters.get(request_id) is not entry:
+                return  # completed while the timer was built
+            entry[1] = timer
+        timer.start()
 
     def _cancel(self, conn: _Connection, request_id: int) -> None:
         with conn.wlock:
             entry = conn.waiters.get(request_id)
-        if entry is None:
-            return  # already satisfied or unknown: no extra reply
-        waiter, timer = entry
-        if not self.space.cancel_waiter(waiter):
-            return  # satisfaction in flight; its callback will claim the reply
-        with conn.wlock:
-            conn.waiters.pop(request_id, None)
-        if timer is not None:
-            timer.cancel()
-        conn.send(wire.build_frame(wire.MSG_REPLY_NONE, request_id))
+        # No entry: already completed or unknown, so no extra reply.  A lost
+        # cancel means satisfaction is in flight and its callback replies.
+        if entry is not None and self.space.cancel_waiter(entry[0]):
+            conn.send(wire.build_frame(wire.MSG_REPLY_NONE, request_id))

@@ -21,12 +21,16 @@ a literal string head looks in that one bucket; any other head scans every
 bucket of its arity.  Every candidate is still checked with ``match``, so a
 posting never decides a match on its own.
 
-Blocking reads and takes register a waiter and park on a per-waiter event.
-No lock is held while parked, so an out on any bucket always proceeds.
-Parked waiters sit in one dict keyed by registration order (O(1) cancel).
-An out checks each of them: it completes every matching non-destructive
-waiter and then at most one destructive waiter (the oldest registered), which
-consumes the tuple before it ever becomes visible to probes.
+Everything that waits for a tuple registers a waiter with a callback.  The
+waiter's state changes once, under the lock (satisfied at registration, by
+a later out, or cancelled), and then its callback runs once, outside the
+lock.  A blocking rd/in_ is such a waiter whose callback sets an event the
+caller parks on; no lock is held while parked, so an out on any bucket
+always proceeds.  Parked waiters sit in one dict keyed by registration
+order (O(1) cancel).  An out checks each of them: it completes every
+matching non-destructive waiter and then at most one destructive waiter
+(the oldest registered), which consumes the tuple before it ever becomes
+visible to probes.
 """
 
 from __future__ import annotations
@@ -48,41 +52,23 @@ _INDEXED_TAGS = frozenset((INT, STR, BYTES))
 
 
 class Waiter:
-    """A parked blocking request; transitions exactly once under the space lock."""
+    """A registered wait for a tuple.  Its state changes exactly once, under
+    the space lock; its callback then runs once, outside the lock."""
 
-    __slots__ = ("template", "destructive", "state", "result", "event", "on_complete", "_space", "order")
+    __slots__ = ("template", "destructive", "state", "result", "on_complete", "order")
 
-    def __init__(self, space: "LocalSpace", template: Template, destructive: bool,
+    def __init__(self, template: Template, destructive: bool,
                  on_complete: Optional[Callable[["Waiter"], None]], order: int):
         self.template = template
         self.destructive = destructive
         self.state = _PENDING
         self.result: Optional[Tuple] = None
-        self.event = threading.Event()
         self.on_complete = on_complete
-        self._space = space
         self.order = order
 
     @property
     def satisfied(self) -> bool:
         return self.state == _SATISFIED
-
-    @property
-    def cancelled(self) -> bool:
-        return self.state == _CANCELLED
-
-    def wait(self, timeout: float | None = None) -> Optional[Tuple]:
-        """Block until completed or cancelled; None on local timeout.
-
-        A timeout here does NOT deregister the waiter; use cancel() for that.
-        """
-        self.event.wait(timeout)
-        return self.result
-
-    def cancel(self) -> bool:
-        """Deregister if still pending.  False means it was already satisfied
-        (the tuple, possibly consumed, must still be delivered)."""
-        return self._space.cancel_waiter(self)
 
 
 class _Bucket:
@@ -262,7 +248,6 @@ class LocalSpace:
                     bucket = self._buckets[key] = _Bucket(tup.arity)
                 bucket.add(self._stamp, tup)
         for w in to_complete:
-            w.event.set()
             if w.on_complete is not None:
                 w.on_complete(w)
 
@@ -293,11 +278,13 @@ class LocalSpace:
 
         If a match is already stored the returned waiter comes back satisfied
         (and the tuple removed when destructive); otherwise it is registered
-        and will be completed by a future out, a cancel, or never.
+        and will be completed by a future out, a cancel, or never.  Either
+        way ``on_complete`` runs once the waiter's state is final, before
+        this returns when the match was already stored.
         """
         with self._lock:
             self._order += 1
-            w = Waiter(self, tpl, destructive, on_complete, self._order)
+            w = Waiter(tpl, destructive, on_complete, self._order)
             found = self._find_earliest(tpl)
             if found is not None:
                 stamp, key, tup = found
@@ -307,19 +294,19 @@ class LocalSpace:
                 w.result = tup
             else:
                 self._waiters[w.order] = w
-        if w.state == _SATISFIED:
-            w.event.set()
-            if on_complete is not None:
-                on_complete(w)
+        if w.state == _SATISFIED and on_complete is not None:
+            on_complete(w)
         return w
 
     def cancel_waiter(self, w: Waiter) -> bool:
+        """Deregister a pending waiter and run its callback.  False means it
+        was already satisfied or cancelled (a satisfied taker's tuple, already
+        consumed, must still be delivered)."""
         with self._lock:
             if w.state != _PENDING:
                 return False
             w.state = _CANCELLED
             del self._waiters[w.order]
-        w.event.set()
         if w.on_complete is not None:
             w.on_complete(w)
         return True
@@ -333,24 +320,14 @@ class LocalSpace:
         return self._blocking(tpl, destructive=True, timeout=timeout)
 
     def _blocking(self, tpl: Template, destructive: bool, timeout: float | None) -> Tuple:
-        w = self.register_waiter(tpl, destructive)
-        if w.state == _SATISFIED:
-            return w.result
-        w.wait(timeout)
-        timed_out = False
-        with self._lock:
-            if w.state == _PENDING:
-                # Deregister under the lock: a racing out has either completed
-                # us already or never will.
-                w.state = _CANCELLED
-                del self._waiters[w.order]
-                timed_out = True
-        if w.state == _SATISFIED:
-            # A destructive waiter satisfied during the timeout race consumed
-            # the tuple, so it must be delivered, not dropped.
-            return w.result
-        if timed_out:
+        done = threading.Event()
+        w = self.register_waiter(tpl, destructive, lambda _: done.set())
+        if not done.wait(timeout) and self.cancel_waiter(w):
             raise SpaceTimeout(f"no match within {timeout!r}s on space {self.name!r}")
+        if w.state == _SATISFIED:
+            # Also when the cancel lost the race: a taker satisfied meanwhile
+            # consumed the tuple, so it must be delivered, not dropped.
+            return w.result
         raise WaiterCancelled(f"blocking op on {self.name!r} cancelled")
 
     # -- diagnostics (tests and tooling) -----------------------------------

@@ -6,7 +6,15 @@ from collections import Counter
 
 import pytest
 
-from tuplespaces import ConnectionLost, DeadlineExceeded, LocalSpace, make_tuple, profiler, template
+from tuplespaces import (
+    ConnectionLost,
+    DeadlineExceeded,
+    LocalSpace,
+    SpaceTimeout,
+    make_tuple,
+    profiler,
+    template,
+)
 from tuplespaces.labels import (
     ALL_LABELS,
     NODE_VISITED,
@@ -354,9 +362,12 @@ def test_timed_operations_record_only_what_completed(tmp_path):
     profiler.reset()
     with pytest.raises(ConnectionLost):
         h.out_remote(_Unreachable(), make_tuple("x"))
-    assert h.probe_local_take(template("x")) is None  # a miss records nothing
+    h.deadline_at = time.monotonic() + 0.02
+    with pytest.raises(SpaceTimeout):  # a wait that times out records nothing
+        h.take_local(template("x"))
+    h.deadline_at = time.monotonic() + 30
     h.out_local(make_tuple("x"))
-    assert h.probe_local_take(template("x")) == make_tuple("x")
+    assert h.take_local(template("x")) == make_tuple("x")
     h.deadline_at = time.monotonic() - 1
     with pytest.raises(DeadlineExceeded):
         h.take_local(template("x"))

@@ -1,4 +1,4 @@
-"""Profiler: interval brackets, counters, dumps, aggregation math."""
+"""Profiler: intervals, counters, dumps, aggregation math."""
 
 import os
 import random
@@ -23,8 +23,8 @@ from tuplespaces.profiler import (
 
 def test_begin_end_single_interval(tmp_path):
     c = Collector("p")
-    c.begin("x")
-    c.end("x")
+    t0 = time.perf_counter_ns()
+    c.add_interval("x", time.perf_counter_ns() - t0)
     path = tmp_path / "d.csv"
     c.dump(path)
     records = parse_dump(path)
@@ -33,62 +33,11 @@ def test_begin_end_single_interval(tmp_path):
     assert r.label == "x" and r.kind == KIND_INTERVAL and r.value >= 0
 
 
-def test_nested_distinct_labels(tmp_path):
-    c = Collector("p")
-    c.begin("a")
-    c.begin("b")
-    c.end("b")
-    c.end("a")
-    path = tmp_path / "d.csv"
-    c.dump(path)
-    by_label = {r.label: r for r in parse_dump(path)}
-    assert set(by_label) == {"a", "b"}
-    assert by_label["b"].value <= by_label["a"].value  # inner interval nests
-
-
-def test_same_label_nests_lifo(tmp_path):
-    c = Collector("p")
-    c.begin("l")
-    c.begin("l")
-    c.end("l")
-    c.end("l")
-    path = tmp_path / "d.csv"
-    c.dump(path)
-    vals = [r.value for r in parse_dump(path)]
-    assert len(vals) == 2
-    assert vals[0] <= vals[1]  # inner one closed first
-
-
-def test_unmatched_end_is_diagnostic_not_crash(tmp_path):
-    c = Collector("p")
-    c.end("y")
-    assert any("unmatched" in d for d in c.diagnostics)
-    path = tmp_path / "d.csv"
-    c.dump(path)
-    assert parse_dump(path) == []
-    # the diagnostic reaches a sidecar next to the dump, once
-    lines = (tmp_path / "d.csv.diag").read_text().splitlines()
-    assert len(lines) == 1 and "unmatched end('y')" in lines[0]
-    assert c.diagnostics == []
-    c.dump(tmp_path / "again.csv")
-    assert not os.path.exists(tmp_path / "again.csv.diag")
-
-
 def test_clean_dump_writes_no_diagnostics(tmp_path):
     c = Collector("p")
-    c.begin("a")
-    c.end("a")
+    c.add_interval("a", 1)
     c.dump(tmp_path / "d.csv")
     assert os.listdir(tmp_path) == ["d.csv"]
-
-
-def test_discard_suppresses_record(tmp_path):
-    c = Collector("p")
-    c.begin("z")
-    c.discard("z")
-    path = tmp_path / "d.csv"
-    c.dump(path)
-    assert parse_dump(path) == []
 
 
 def test_counter_flush(tmp_path):
@@ -107,8 +56,7 @@ def test_counter_flush(tmp_path):
 
 def test_counter_zero_increments_no_record(tmp_path):
     c = Collector("p")
-    c.begin("t")
-    c.end("t")
+    c.add_interval("t", 1)
     path = tmp_path / "d.csv"
     c.dump(path)
     assert all(r.kind != KIND_COUNTER for r in parse_dump(path))
@@ -164,8 +112,7 @@ def test_dump_empty_header_only(tmp_path):
 
 def test_dump_one_record_two_lines_roundtrip(tmp_path):
     c = Collector("proc7")
-    c.begin("m")
-    c.end("m")
+    c.add_interval("m", 1)
     path = tmp_path / "one.csv"
     c.dump(path)
     lines = path.read_text().splitlines()
@@ -177,8 +124,7 @@ def test_dump_one_record_two_lines_roundtrip(tmp_path):
 def test_dump_roundtrip_multiset(tmp_path):
     c = Collector("p")
     for i in range(50):
-        c.begin("a")
-        c.end("a")
+        c.add_interval("a", i)
         c.inc_counter("k", 2)
     path = tmp_path / "r.csv"
     c.dump(path)
@@ -191,16 +137,17 @@ def test_dump_roundtrip_multiset(tmp_path):
 
 def test_seq_strictly_increasing_across_dumps(tmp_path):
     c = Collector("p")
-    c.begin("a"); c.end("a")
+    c.add_interval("a", 1)
     c.dump(tmp_path / "1.csv")
-    c.begin("a"); c.end("a")
+    c.add_interval("a", 1)
     c.dump(tmp_path / "2.csv")
     first = parse_dump(tmp_path / "1.csv")[0].seq
     second = parse_dump(tmp_path / "2.csv")[0].seq
     assert second > first
 
 
-# Written by the MetricRecord-per-interval collector for the same calls.
+# Written by the MetricRecord-per-interval collector for the same intervals
+# and counters.
 GOLDEN_DUMP = (
     "label,kind,value,process,thread,seq\n"
     "b,interval,7,proc-a,t-one,0\n"
@@ -215,18 +162,16 @@ GOLDEN_DUMP = (
 )
 
 
-def test_dump_bytes_are_unchanged(tmp_path, monkeypatch):
-    ticks = iter(range(1000, 10**6, 7))
-    monkeypatch.setattr(time, "perf_counter_ns", lambda: next(ticks))
+def test_dump_bytes_are_unchanged(tmp_path):
     c = Collector("proc-a")
 
     def first():
-        c.begin("a"); c.begin("b"); c.end("b"); c.add_interval("c", 42); c.end("a")
+        c.add_interval("b", 7); c.add_interval("c", 42); c.add_interval("a", 21)
         c.inc_counter("k"); c.inc_counter("k", 4); c.inc_counter("j", 2)
-        c.begin("a"); c.end("a")
+        c.add_interval("a", 7)
 
     def second():
-        c.add_interval("c", 5); c.begin("x"); c.inc_counter("k"); c.end("x")
+        c.add_interval("c", 5); c.inc_counter("k"); c.add_interval("x", 7)
 
     for body, name in ((first, "t-one"), (second, "t-two")):
         th = threading.Thread(target=body, name=name)
@@ -244,8 +189,7 @@ def test_recording_builds_no_metric_record(tmp_path, monkeypatch):
 
     monkeypatch.setattr(profiler, "MetricRecord", forbidden)
     profiler.reset()
-    profiler.begin("a")
-    profiler.end("a")
+    profiler.add_interval("a", 1)
     profiler.add_interval("b", 5)
     profiler.inc_counter("k")
     path = tmp_path / "d.csv"
@@ -337,8 +281,8 @@ def test_parse_error_bad_row(tmp_path):
 def test_intervals_never_negative(tmp_path):
     c = Collector("p")
     for _ in range(200):
-        c.begin("fast")
-        c.end("fast")
+        t0 = time.perf_counter_ns()
+        c.add_interval("fast", time.perf_counter_ns() - t0)
     path = tmp_path / "d.csv"
     c.dump(path)
     records = parse_dump(path)
@@ -353,8 +297,7 @@ def test_dump_concurrent_with_recording(tmp_path):
 
     def recorder():
         while not stop.is_set():
-            c.begin("busy")
-            c.end("busy")
+            c.add_interval("busy", 1)
             c.inc_counter("n")
 
     th = threading.Thread(target=recorder, name="rec")

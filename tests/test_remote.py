@@ -619,3 +619,33 @@ def test_callback_legs_share_one_reader_thread():
         assert [leg.kind for leg in legs] == ["tuple", "none"] * 10
         cl.close()
         assert set(threading.enumerate()) <= before
+
+
+def test_timer_only_for_a_timed_request_that_parks(monkeypatch):
+    made = []
+
+    class RecordedTimer(threading.Timer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Timer", RecordedTimer)
+    with served_space() as (space, srv), connected(srv) as cl:
+        space.out(make_tuple("here", 1))
+        assert cl.in_(template("here", ANY), timeout=5) == make_tuple("here", 1)
+        assert made == []  # satisfied at registration: nothing to expire
+
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(cl.rd(template("later", ANY), timeout=30)))
+        reader.start()
+        deadline = time.monotonic() + 5
+        while not (made and made[0].is_alive()) and time.monotonic() < deadline:
+            time.sleep(0.002)
+        assert len(made) == 1 and made[0].is_alive()
+        space.out(make_tuple("later", 2))
+        reader.join(5)
+        assert got == [make_tuple("later", 2)]
+        made[0].join(2)
+        assert not made[0].is_alive()  # satisfaction stopped the timer's thread
+        assert len(made) == 1

@@ -1,6 +1,7 @@
 """LocalSpace semantics: FIFO, multiset, blocking, atomicity, index oracle."""
 
 import struct
+import sys
 import threading
 import time
 
@@ -219,6 +220,50 @@ def test_atomic_take_k_racers_m_extra():
     assert sp.size() == 0
 
 
+def test_timeout_race_hammer_conserves_tuples():
+    """Takers whose timeouts race the outs: a take whose cancel loses to a
+    satisfying out still returns its tuple, so none is lost or doubled."""
+    sp = LocalSpace()
+    tpl = template("t", ANY)
+    produced = 400
+    consumed = []
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def taker(seed):
+        r = SplitMix64(seed)
+        while not stop.is_set():
+            try:
+                got = sp.in_(tpl, timeout=r.below(3) / 1000.0)
+            except SpaceTimeout:
+                continue
+            with lock:
+                consumed.append(got.fields[1].data)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=taker, args=(seed,)) for seed in range(4)]
+    try:
+        for th in threads:
+            th.start()
+        r = SplitMix64(9)
+        for i in range(produced):
+            sp.out(make_tuple("t", i))
+            if r.below(4) == 0:
+                time.sleep(0.0005)
+        deadline = time.monotonic() + 10
+        while sp.size() and time.monotonic() < deadline:
+            time.sleep(0.005)
+    finally:
+        stop.set()
+        for th in threads:
+            th.join(5)
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(consumed) == list(range(produced))
+    assert sp.pending_waiter_count() == 0
+
+
 def test_no_lost_wakeup_hammer():
     sp = LocalSpace()
     tpl = template("ping", ANY)
@@ -245,15 +290,55 @@ def test_waiter_cancel():
     sp = LocalSpace()
     w = sp.register_waiter(template("nope"), destructive=False)
     assert not w.satisfied
-    assert w.cancel() is True
-    assert w.cancel() is False
+    assert sp.cancel_waiter(w) is True
+    assert sp.cancel_waiter(w) is False
     assert sp.pending_waiter_count() == 0
     # cancel of an already-satisfied waiter reports too-late
     sp.out(make_tuple("yes"))
     w2 = sp.register_waiter(template("yes"), destructive=True)
     assert w2.satisfied
-    assert w2.cancel() is False
+    assert sp.cancel_waiter(w2) is False
     assert sp.size() == 0  # the destructive registration consumed it
+
+
+def _recording_waiter(sp, tpl, destructive):
+    """Register with a callback that records (satisfied, result) each call."""
+    calls = []
+    w = sp.register_waiter(tpl, destructive,
+                           lambda w: calls.append((w.satisfied, w.result)))
+    return w, calls
+
+
+@pytest.mark.parametrize("destructive", [False, True])
+def test_callback_runs_once_with_final_state(destructive):
+    sp = LocalSpace()
+    # Satisfied at registration: the callback has run before register returns.
+    sp.out(make_tuple("now", 1))
+    w, calls = _recording_waiter(sp, template("now", ANY), destructive)
+    assert calls == [(True, make_tuple("now", 1))]
+    assert sp.cancel_waiter(w) is False
+    sp.out(make_tuple("now", 2))
+    assert len(calls) == 1
+
+    # Satisfied by a later out.
+    w, calls = _recording_waiter(sp, template("later", ANY), destructive)
+    assert calls == []
+    sp.out(make_tuple("later", 1))
+    assert calls == [(True, make_tuple("later", 1))]
+    assert sp.cancel_waiter(w) is False
+    sp.out(make_tuple("later", 2))
+    assert len(calls) == 1
+    assert sp.rdp(template("later", ANY)) == make_tuple("later", 2 if destructive else 1)
+
+    # Cancelled: a later match neither reaches it nor is consumed by it.
+    w, calls = _recording_waiter(sp, template("never", ANY), destructive)
+    assert sp.cancel_waiter(w) is True
+    assert calls == [(False, None)]
+    assert sp.cancel_waiter(w) is False
+    sp.out(make_tuple("never", 1))
+    assert len(calls) == 1
+    assert sp.rdp(template("never", ANY)) == make_tuple("never", 1)
+    assert sp.pending_waiter_count() == 0
 
 
 def test_cancelled_blocking_call_raises():
@@ -496,7 +581,7 @@ def _probe_both(sp, shadow, kind, tpl):
         expected = shadow.inp(tpl)
         if expected is None:
             assert not w.satisfied
-            assert w.cancel()
+            assert sp.cancel_waiter(w)
         else:
             assert w.satisfied and w.result == expected
 
