@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .. import profiler
 from ..client import NodeAddress, RemoteSpace
-from ..errors import DeadlineExceeded
+from ..errors import DeadlineExceeded, SpaceTimeout
 from ..labels import READ_LOCAL, READ_REMOTE, TOTAL_RUNTIME, WRITE_LOCAL, WRITE_REMOTE
 from ..search import (
     PeerDirectory,
@@ -63,8 +63,20 @@ class RoleHandles:
     def remaining(self) -> float:
         left = self.deadline_at - time.monotonic()
         if left <= 0:
-            raise DeadlineExceeded(f"{self.role_name}: repetition deadline exceeded")
+            raise self._deadline_exceeded()
         return left
+
+    def _deadline_exceeded(self) -> DeadlineExceeded:
+        return DeadlineExceeded(f"{self.role_name}: repetition deadline exceeded")
+
+    def _wait(self, op, tpl: Template) -> Tuple:
+        """op(tpl, timeout=...) capped by the rep deadline.  A deadline that
+        passes during the wait raises DeadlineExceeded, as one that passed
+        before the call does."""
+        try:
+            return op(tpl, timeout=self.remaining())
+        except SpaceTimeout:
+            raise self._deadline_exceeded() from None
 
     def alloc_run_id(self) -> int:
         self._run_seq += 1
@@ -95,19 +107,19 @@ class RoleHandles:
     def take_local(self, tpl: Template) -> Tuple:
         """Blocking take from the own space, capped by the rep deadline."""
         t0 = time.perf_counter_ns()
-        got = self.local.in_(tpl, timeout=self.remaining())
+        got = self._wait(self.local.in_, tpl)
         profiler.add_interval(READ_LOCAL, time.perf_counter_ns() - t0)
         return got
 
     def take_remote(self, remote: RemoteSpace, tpl: Template) -> Tuple:
         t0 = time.perf_counter_ns()
-        got = remote.in_(tpl, timeout=self.remaining())
+        got = self._wait(remote.in_, tpl)
         profiler.add_interval(READ_REMOTE, time.perf_counter_ns() - t0)
         return got
 
     def rd_remote(self, remote: RemoteSpace, tpl: Template) -> Tuple:
         t0 = time.perf_counter_ns()
-        got = remote.rd(tpl, timeout=self.remaining())
+        got = self._wait(remote.rd, tpl)
         profiler.add_interval(READ_REMOTE, time.perf_counter_ns() - t0)
         return got
 

@@ -10,10 +10,12 @@ PLoP 2000).  At most one thread reads the socket at a time, the leader.  It
 completes whichever pending request each frame belongs to and, once its own
 reply is in, steps down so that one of the threads still waiting (the
 followers) takes over.  A caller alone on its handle therefore reads its own
-reply, with no hand-off to another thread.  `rd_async` legs with an `on_done`
-callback have no caller to read for them: the first such leg starts one
-reader thread per handle, which takes the reading role only while callback
-legs are outstanding and no caller holds it.
+reply, with no hand-off to another thread.  The leader reads with
+wire.read_frame, through the handle's one FrameReader, whose deadline it sets
+to its own so that a timed wait ends on time even while a reply is only partly
+in.  `rd_async` legs with an `on_done` callback have no caller to read for
+them: the first such leg starts one reader thread per handle, which takes the
+reading role only while callback legs are outstanding and no caller holds it.
 
 Operation semantics mirror LocalSpace exactly; see store.py.
 """
@@ -21,7 +23,6 @@ Operation semantics mirror LocalSpace exactly; see store.py.
 from __future__ import annotations
 
 import math
-import select
 import socket
 import threading
 import time
@@ -52,11 +53,6 @@ class NodeAddress:
 
 CONNECT_ATTEMPTS = 5
 CONNECT_RETRY_DELAY = 0.2
-# Bytes asked of one recv call, unless the frame being read needs more.  Small
-# calls keep memory low (64 KiB raised matmul's peak RSS by about 0.4 MB); a
-# large frame is read in calls as large as its missing part, because every
-# recv call releases and re-takes the interpreter lock.
-RECV_SIZE = 8 * 1024
 
 
 class PendingReply:
@@ -101,9 +97,7 @@ class RemoteSpace:
         self.address = address
         self.client_name = client_name
         self._sock = sock
-        self._poll = select.poll()
-        self._poll.register(sock, select.POLLIN)
-        self._rbuf = bytearray()  # received bytes not yet split into frames
+        self._reader = wire.FrameReader(sock)  # used only by the thread reading
         self._send_lock = threading.Lock()
         # _lock guards everything below.  _turn wakes followers when a reply
         # lands or the reading role frees up; _legs_due wakes the callback
@@ -148,7 +142,7 @@ class RemoteSpace:
 
     def _handshake(self) -> None:
         self._sock.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello(self.client_name)))
-        msg_type, _, body = self._recv_frame(None)
+        msg_type, _, body = wire.read_frame(self._reader)
         if msg_type == wire.MSG_REPLY_ERR:
             code, msg = wire.unpack_err(body)
             raise VersionMismatch(f"server rejected handshake: {msg}")
@@ -212,9 +206,10 @@ class RemoteSpace:
 
     def _lead(self, done, deadline: float | None) -> bool:
         """Hold the reading role until done() holds; False when deadline passes first."""
+        self._reader.deadline = deadline
         try:
             while not done():
-                frame = self._recv_frame(deadline)
+                frame = wire.read_frame(self._reader)
                 if frame is None:
                     return False
                 self._deliver(*frame)
@@ -235,20 +230,6 @@ class RemoteSpace:
                     self._legs_due.notify()
             if release:
                 self._sock.close()
-
-    def _recv_frame(self, deadline: float | None) -> tuple[int, int, bytes] | None:
-        """Next frame off the socket; None when deadline passes first."""
-        buf = self._rbuf
-        while (frame := wire.pop_frame(buf)) is None:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._poll.poll(math.ceil(remaining * 1000.0)):
-                    return None
-            chunk = self._sock.recv(max(RECV_SIZE, wire.frame_size(buf) - len(buf)))
-            if not chunk:
-                raise ConnectionLost(f"connection to {self.address} closed by the server")
-            buf += chunk
-        return frame
 
     def _deliver(self, msg_type: int, request_id: int, body: bytes) -> None:
         if msg_type == wire.MSG_REPLY_TUPLE:

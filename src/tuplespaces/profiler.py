@@ -7,7 +7,9 @@ raises records nothing, and a caller may record only some outcomes (a probe
 only when it hits).  A span that opens and closes in different functions
 keeps its ``t0`` where both can reach it (the master's total-runtime timer
 keeps it on its role handles).  Counters accumulate per thread and
-materialize as records when dumped.  Every process writes its own dump
+materialize as records when dumped.  The buffers grow without bound
+between dumps: every interval recorded stays in memory until the next
+dump (one per rep in the benchmark).  Every process writes its own dump
 file; aggregation reads any number of dump files and reduces each label to
 count / mean / sample standard deviation / min / max.
 

@@ -1,35 +1,42 @@
 """Tuple-space server: serves a LocalSpace over the wire protocol.
 
-Each accepted connection gets a reader thread that decodes frames and
-dispatches operations.  Fast operations (out / probes / count) are answered
-inline; a blocking RD/IN request enters the connection's table of pending
-requests and then registers a waiter whose callback replies from whichever
-thread satisfies it, so a parked request never occupies the connection and
-never delays later frames on it.  The callback runs once for every outcome
-and is what removes the request from the table and stops its timer.  A timed
-request that parks gets a timer; the timeout, CANCEL and shutdown each
-cancel the waiter and send their own reply only when that cancel wins the
-race against satisfaction, so every request gets exactly one reply.
+Each accepted connection gets one thread that reads frames (wire.read_frame)
+and dispatches operations; besides those the server runs only its acceptor.
+Fast operations (out / probes / count) are answered inline; a blocking RD/IN
+request enters the connection's table of pending requests and then registers
+a waiter whose callback replies from whichever thread satisfies it, so a
+parked request never occupies the connection and never delays later frames
+on it.  The callback runs once for every outcome and is what removes the
+request from the table.
+
+A timed request that parks keeps its deadline in the table, and the
+connection thread expires it: its reader's deadline is the earliest one
+pending, so read_frame returns None when that passes, even with a frame half
+received.  The timeout, CANCEL and shutdown each cancel the waiter and send
+their own reply only when that cancel wins the race against satisfaction, so
+every request gets exactly one reply.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+import time
 
 from . import wire
-from .errors import AddressInUse, MalformedFrame
+from .errors import AddressInUse, ConnectionLost, MalformedFrame
 from .store import LocalSpace, Waiter
 
 
 class _Connection:
-    __slots__ = ("sock", "file", "write_lock", "waiters", "wlock", "peer_name")
+    __slots__ = ("sock", "reader", "write_lock", "waiters", "wlock", "peer_name")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.file = sock.makefile("rb")
+        self.reader = wire.FrameReader(sock)
         self.write_lock = threading.Lock()
-        # request id -> [waiter, timer]; the waiter is None until registered
+        # request id -> [waiter, deadline, timeout_ms]; the waiter is None
+        # until registered, the deadline (time.monotonic()) None when untimed
         self.waiters: dict[int, list] = {}
         self.wlock = threading.Lock()
         self.peer_name = "?"
@@ -45,10 +52,6 @@ class _Connection:
     def close(self) -> None:
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.file.close()  # releases the fd the makefile pins
         except OSError:
             pass
         try:
@@ -142,11 +145,12 @@ class SpaceServer:
             if not self._hello(conn):
                 return
             while True:
-                frame = wire.read_frame(conn.file)
+                frame = wire.read_frame(conn.reader)
                 if frame is None:
-                    return
-                self._dispatch(conn, *frame)
-        except (OSError, ValueError, MalformedFrame):
+                    self._expire(conn)
+                else:
+                    self._dispatch(conn, *frame)
+        except (OSError, ValueError, MalformedFrame, ConnectionLost):
             return  # stream no longer trustworthy; drop the connection
         finally:
             self._abort_waiters(conn)
@@ -156,10 +160,7 @@ class SpaceServer:
                     self._conns.remove(conn)
 
     def _hello(self, conn: _Connection) -> bool:
-        frame = wire.read_frame(conn.file)
-        if frame is None:
-            return False
-        msg_type, request_id, body = frame
+        msg_type, request_id, body = wire.read_frame(conn.reader)
         if msg_type != wire.MSG_HELLO:
             conn.send(wire.build_frame(wire.MSG_REPLY_ERR, request_id,
                                        wire.pack_err(wire.ERR_UNSUPPORTED, "expected HELLO")))
@@ -214,13 +215,14 @@ class SpaceServer:
             self._reply_probe(conn, request_id, probe(tpl))
             return
 
-        entry = [None, None]
+        deadline = None
+        if timeout_ms != wire.INFINITE_MS:
+            deadline = time.monotonic() + timeout_ms / 1000.0
+        entry = [None, deadline, timeout_ms]
 
         def on_complete(w: Waiter) -> None:
             with conn.wlock:
                 conn.waiters.pop(request_id, None)
-            if entry[1] is not None:
-                entry[1].cancel()
             if w.satisfied:  # the cancelling path sends its own reply
                 conn.send(wire.build_frame(wire.MSG_REPLY_TUPLE, request_id,
                                            wire.encode_tuple(w.result)))
@@ -228,22 +230,25 @@ class SpaceServer:
         with conn.wlock:
             conn.waiters[request_id] = entry
         waiter = entry[0] = self.space.register_waiter(tpl, destructive, on_complete)
-        if waiter.satisfied or timeout_ms == wire.INFINITE_MS:
-            return
+        reader = conn.reader
+        if deadline is not None and not waiter.satisfied and (
+                reader.deadline is None or deadline < reader.deadline):
+            reader.deadline = deadline
 
-        def on_timeout() -> None:
+    def _expire(self, conn: _Connection) -> None:
+        """Time out the requests whose deadline has passed; runs on the connection
+        thread when read_frame returns None at its reader's deadline."""
+        now = time.monotonic()
+        with conn.wlock:
+            due = [(rid, e) for rid, e in conn.waiters.items()
+                   if e[1] is not None and e[1] <= now]
+            conn.reader.deadline = min((e[1] for e in conn.waiters.values()
+                                        if e[1] is not None and e[1] > now), default=None)
+        for request_id, (waiter, _, timeout_ms) in due:
             if self.space.cancel_waiter(waiter):
                 conn.send(wire.build_frame(
                     wire.MSG_REPLY_ERR, request_id,
                     wire.pack_err(wire.ERR_TIMEOUT, f"no match within {timeout_ms} ms")))
-
-        timer = threading.Timer(timeout_ms / 1000.0, on_timeout)
-        timer.daemon = True
-        with conn.wlock:
-            if conn.waiters.get(request_id) is not entry:
-                return  # completed while the timer was built
-            entry[1] = timer
-        timer.start()
 
     def _cancel(self, conn: _Connection, request_id: int) -> None:
         with conn.wlock:

@@ -10,7 +10,6 @@ from tuplespaces import (
     ConnectionLost,
     DeadlineExceeded,
     LocalSpace,
-    SpaceTimeout,
     make_tuple,
     profiler,
     template,
@@ -363,7 +362,7 @@ def test_timed_operations_record_only_what_completed(tmp_path):
     with pytest.raises(ConnectionLost):
         h.out_remote(_Unreachable(), make_tuple("x"))
     h.deadline_at = time.monotonic() + 0.02
-    with pytest.raises(SpaceTimeout):  # a wait that times out records nothing
+    with pytest.raises(DeadlineExceeded):  # a wait that times out records nothing
         h.take_local(template("x"))
     h.deadline_at = time.monotonic() + 30
     h.out_local(make_tuple("x"))

@@ -3,6 +3,7 @@
 import os
 import random
 import statistics
+import sys
 import threading
 import time
 
@@ -291,33 +292,53 @@ def test_intervals_never_negative(tmp_path):
 
 
 def test_dump_concurrent_with_recording(tmp_path):
-    """Records emitted after a dump starts land in that dump or the next one."""
+    """Records emitted after a dump starts land in that dump or the next one.
+
+    The recorder writes a fixed batch per dump and is halfway through it when
+    the dump starts; with a short switch interval the dump then runs while
+    the batch is still being recorded.  The record count stays bounded
+    whatever the host's load.
+    """
     c = Collector("p")
-    stop = threading.Event()
+    rounds, batch = 5, 4000
+    go = [threading.Event() for _ in range(rounds)]
+    halfway = [threading.Event() for _ in range(rounds)]
 
     def recorder():
-        while not stop.is_set():
-            c.add_interval("busy", 1)
-            c.inc_counter("n")
+        for start, half in zip(go, halfway):
+            if not start.wait(10):
+                return
+            for i in range(batch):
+                if i == batch // 2:
+                    half.set()
+                c.add_interval("busy", 1)
+                c.inc_counter("n")
 
     th = threading.Thread(target=recorder, name="rec")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     th.start()
     paths = []
     try:
-        for i in range(5):
+        for i in range(rounds):
+            go[i].set()
+            assert halfway[i].wait(10)
             p = tmp_path / f"d{i}.csv"
             c.dump(p)
             paths.append(p)
     finally:
-        stop.set()
-        th.join(5)
+        for start in go:
+            start.set()
+        th.join(10)
+        sys.setswitchinterval(interval)
+    assert not th.is_alive()
     final = tmp_path / "final.csv"
     c.dump(final)
     paths.append(final)
     records = [r for p in paths for r in parse_dump(p)]
     intervals = [r for r in records if r.kind == KIND_INTERVAL]
     counted = sum(r.value for r in records if r.kind == KIND_COUNTER)
-    assert counted == len(intervals)  # nothing lost, nothing duplicated
+    assert counted == len(intervals) == rounds * batch  # nothing lost, nothing duplicated
     seqs = [r.seq for r in records if r.thread == "rec"]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 

@@ -186,7 +186,7 @@ def test_version_mismatch_rejected_by_server():
         sock = socket.create_connection(("127.0.0.1", srv.port))
         try:
             sock.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("old", version=9)))
-            frame = wire.read_frame(sock.makefile("rb"))
+            frame = wire.read_frame(wire.FrameReader(sock))
             assert frame is not None
             msg_type, _, body = frame
             assert msg_type == wire.MSG_REPLY_ERR
@@ -205,7 +205,7 @@ def test_version_mismatch_detected_by_client():
 
     def fake_server():
         conn, _ = listener.accept()
-        wire.read_frame(conn.makefile("rb"))
+        wire.read_frame(wire.FrameReader(conn))
         conn.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("fake", version=2)))
         conn.close()
 
@@ -223,7 +223,7 @@ def test_malformed_request_gets_error_reply():
         sock = socket.create_connection(("127.0.0.1", srv.port))
         try:
             sock.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("raw")))
-            f = sock.makefile("rb")
+            f = wire.FrameReader(sock)
             assert wire.read_frame(f)[0] == wire.MSG_HELLO
             sock.sendall(wire.build_frame(wire.MSG_OUT, 1, b"\x01\x00\x00\x00\x99"))
             msg_type, rid, body = wire.read_frame(f)
@@ -242,7 +242,7 @@ def test_unsupported_message_type():
         sock = socket.create_connection(("127.0.0.1", srv.port))
         try:
             sock.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("raw")))
-            f = sock.makefile("rb")
+            f = wire.FrameReader(sock)
             wire.read_frame(f)
             sock.sendall(wire.build_frame(42, 1))
             msg_type, _, body = wire.read_frame(f)
@@ -540,7 +540,7 @@ def test_wait_times_out_on_a_silent_server():
     def silent_server():
         conn, _ = listener.accept()
         accepted.append(conn)
-        wire.read_frame(conn.makefile("rb"))
+        wire.read_frame(wire.FrameReader(conn))
         conn.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("silent")))
 
     th = threading.Thread(target=silent_server, daemon=True)
@@ -570,6 +570,43 @@ def test_wait_times_out_on_a_silent_server():
         reader.join(1)
         assert not reader.is_alive() and len(reader_errors) == 1
         assert pending.wait(0) and pending.kind == "lost"
+    finally:
+        cl.close()
+        listener.close()
+        for conn in accepted:
+            conn.close()
+
+
+def test_wait_times_out_while_a_large_reply_is_partly_in():
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    port = listener.getsockname()[1]
+    accepted = []
+    tup = make_tuple("big", b"\x07" * (4 * wire.RECV_SIZE))
+    reply = wire.build_frame(wire.MSG_REPLY_TUPLE, 1, wire.encode_tuple(tup))
+
+    def half_server():
+        conn, _ = listener.accept()
+        accepted.append(conn)
+        reader = wire.FrameReader(conn)
+        wire.read_frame(reader)
+        conn.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("half")))
+        wire.read_frame(reader)  # the RD
+        conn.sendall(reply[:len(reply) // 2])
+
+    th = threading.Thread(target=half_server, daemon=True)
+    th.start()
+    cl = RemoteSpace.connect(NodeAddress("127.0.0.1", port, "half"))
+    try:
+        pending = cl.rd_async(template("big", ANY), timeout=None)
+        th.join(5)
+        assert not th.is_alive()
+        t0 = time.monotonic()
+        assert pending.wait(0.1) is False
+        assert 0.1 <= time.monotonic() - t0 < 1.0
+        accepted[0].sendall(reply[len(reply) // 2:])
+        assert pending.wait(5) and pending.kind == "tuple" and pending.payload == tup
     finally:
         cl.close()
         listener.close()
@@ -621,31 +658,102 @@ def test_callback_legs_share_one_reader_thread():
         assert set(threading.enumerate()) <= before
 
 
-def test_timer_only_for_a_timed_request_that_parks(monkeypatch):
-    made = []
-
-    class RecordedTimer(threading.Timer):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(threading, "Timer", RecordedTimer)
+def test_timeouts_expire_on_the_connection_thread():
+    """Parked timed requests start no thread: the connection's own thread expires them."""
+    before = set(threading.enumerate())
     with served_space() as (space, srv), connected(srv) as cl:
-        space.out(make_tuple("here", 1))
-        assert cl.in_(template("here", ANY), timeout=5) == make_tuple("here", 1)
-        assert made == []  # satisfied at registration: nothing to expire
+        parked = [cl.rd_async(template("later", i), timeout=30 + i) for i in range(5)]
+        expired = []
 
-        got = []
-        reader = threading.Thread(
-            target=lambda: got.append(cl.rd(template("later", ANY), timeout=30)))
-        reader.start()
-        deadline = time.monotonic() + 5
-        while not (made and made[0].is_alive()) and time.monotonic() < deadline:
-            time.sleep(0.002)
-        assert len(made) == 1 and made[0].is_alive()
-        space.out(make_tuple("later", 2))
-        reader.join(5)
-        assert got == [make_tuple("later", 2)]
-        made[0].join(2)
-        assert not made[0].is_alive()  # satisfaction stopped the timer's thread
-        assert len(made) == 1
+        def timed_take():
+            t0 = time.monotonic()
+            try:
+                cl.in_(template("missing"), timeout=0.05)
+            except SpaceTimeout:
+                expired.append(time.monotonic() - t0)
+
+        taker = threading.Thread(target=timed_take, daemon=True)
+        taker.start()
+        taker.join(5)
+        assert not taker.is_alive() and len(expired) == 1 and 0.05 <= expired[0] < 1.0
+        started = set(threading.enumerate()) - before
+        assert {th.name for th in started} == {f"accept-{srv.name}", f"conn-{srv.name}"}
+        assert len(started) == 2
+        space.out(make_tuple("later", 3))
+        assert parked[3].wait(5) and parked[3].kind == "tuple"
+        assert parked[3].payload == make_tuple("later", 3)
+        assert all(p.kind is None for i, p in enumerate(parked) if i != 3)
+        for p in parked:
+            cl.cancel(p)
+
+
+def test_frames_split_in_pieces_get_the_same_replies():
+    large = make_tuple("big", b"\xab" * (5 * wire.RECV_SIZE))
+    requests = [
+        wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("raw")),
+        wire.build_frame(wire.MSG_OUT, 1, wire.encode_tuple(make_tuple("k", 1))),
+        wire.build_frame(wire.MSG_RDP, 2, wire.encode_template(template("k", ANY))),
+        wire.build_frame(wire.MSG_OUT, 3, wire.encode_tuple(large)),
+        wire.build_frame(wire.MSG_RDP, 4, wire.encode_template(template("big", ANY))),
+    ]
+
+    def replies(split: bool) -> list:
+        with served_space() as (_, srv):
+            sock = socket.create_connection(("127.0.0.1", srv.port))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            reader = wire.FrameReader(sock)
+            reader.deadline = time.monotonic() + 30
+            got = []
+            try:
+                for frame in requests:
+                    piece = len(frame)
+                    if split:
+                        piece = 4096 if len(frame) > wire.RECV_SIZE else 1
+                    for at in range(0, len(frame), piece):
+                        sock.sendall(frame[at:at + piece])
+                        time.sleep(0.0005)
+                    got.append(wire.read_frame(reader))
+            finally:
+                sock.close()
+            return got
+
+    whole = replies(split=False)
+    assert [f[:2] for f in whole] == [(wire.MSG_HELLO, 0), (wire.MSG_REPLY_NONE, 1),
+                                      (wire.MSG_REPLY_TUPLE, 2), (wire.MSG_REPLY_NONE, 3),
+                                      (wire.MSG_REPLY_TUPLE, 4)]
+    assert wire.decode_tuple(whole[4][2]) == large
+    assert replies(split=True) == whole
+
+
+@pytest.mark.parametrize("size", [8, 3 * wire.RECV_SIZE])
+def test_timed_rd_expires_while_the_next_frame_is_half_sent(size):
+    with served_space() as (space, srv):
+        sock = socket.create_connection(("127.0.0.1", srv.port))
+        try:
+            sock.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("raw")))
+            reader = wire.FrameReader(sock)
+            reader.deadline = time.monotonic() + 10
+            assert wire.read_frame(reader)[0] == wire.MSG_HELLO
+            # One parked past poll()'s longest wait, one that expires.
+            sock.sendall(wire.build_frame(wire.MSG_RD, 1, wire.pack_blocking(
+                2**40, template("far", ANY))))
+            t0 = time.monotonic()
+            sock.sendall(wire.build_frame(wire.MSG_RD, 2, wire.pack_blocking(
+                100, template("soon"))))
+            out = wire.build_frame(wire.MSG_OUT, 3, wire.encode_tuple(
+                make_tuple("far", b"\x01" * size)))
+            sock.sendall(out[:len(out) // 2])
+            msg_type, rid, body = wire.read_frame(reader)
+            assert 0.1 <= time.monotonic() - t0 < 1.0
+            assert (msg_type, rid) == (wire.MSG_REPLY_ERR, 2)
+            assert wire.unpack_err(body)[0] == wire.ERR_TIMEOUT
+            sock.sendall(out[len(out) // 2:])
+            got = {}
+            for _ in range(2):
+                msg_type, rid, body = wire.read_frame(reader)
+                got[rid] = (msg_type, bytes(body))
+            far = wire.encode_tuple(make_tuple("far", b"\x01" * size))
+            assert got == {1: (wire.MSG_REPLY_TUPLE, far), 3: (wire.MSG_REPLY_NONE, b"")}
+            assert space.count(template(ANY, ANY)) == 1
+        finally:
+            sock.close()

@@ -1,8 +1,10 @@
 """Codec bit-exactness, strict decoding, frame integrity."""
 
 import math
+import socket
 import struct
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 from tuplespaces import (
     ANY,
     INT,
+    ConnectionLost,
     MalformedFrame,
     PayloadTooLarge,
     Tuple,
@@ -204,6 +207,30 @@ def test_pop_frame_splits_a_stream_fed_in_pieces():
     for length in (3, wire.MAX_FRAME + 1):
         with pytest.raises(MalformedFrame):
             wire.pop_frame(bytearray(struct.pack("<I", length)))
+
+
+@pytest.mark.parametrize("size", [10, 3 * wire.RECV_SIZE])
+def test_read_frame_returns_none_at_its_deadline_and_keeps_partial_bytes(size):
+    frame = wire.build_frame(wire.MSG_OUT, 9, wire.encode_tuple(make_tuple("r", b"\x05" * size)))
+    for cut in (2, 8, len(frame) // 2, len(frame) - 1):
+        a, b = socket.socketpair()
+        try:
+            reader = wire.FrameReader(a)
+            b.sendall(frame[:cut])
+            t0 = time.monotonic()
+            reader.deadline = t0 + 0.03
+            assert wire.read_frame(reader) is None
+            assert time.monotonic() - t0 >= 0.03
+            assert wire.read_frame(reader) is None  # past its deadline: no wait at all
+            b.sendall(frame[cut:])
+            reader.deadline = time.monotonic() + 10
+            assert wire.read_frame(reader) == wire.parse_frame(frame)
+            b.close()
+            with pytest.raises(ConnectionLost):
+                wire.read_frame(reader)
+        finally:
+            a.close()
+            b.close()
 
 
 def test_body_helpers_roundtrip():
