@@ -100,10 +100,12 @@ class RemoteSpace:
         self._reader = wire.FrameReader(sock)  # used only by the thread reading
         self._send_lock = threading.Lock()
         # _lock guards everything below.  _turn wakes followers when a reply
-        # lands or the reading role frees up; _legs_due wakes the callback
+        # lands or the reading role frees up, and only while _followers (the
+        # callers parked on it) is above zero; _legs_due wakes the callback
         # reader only when it may have to read, not on every reply.
         self._lock = threading.Lock()
         self._turn = threading.Condition(self._lock)
+        self._followers = 0
         self._legs_due = threading.Condition(self._lock)
         self._pending: dict[int, PendingReply] = {}
         self._next_id = 1
@@ -181,13 +183,16 @@ class RemoteSpace:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while pending.kind is None and self._reading:
-                if deadline is None:
-                    self._turn.wait()
-                else:
+                remaining = None
+                if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return False
+                self._followers += 1
+                try:
                     self._turn.wait(remaining)
+                finally:
+                    self._followers -= 1
             if pending.kind is not None:
                 return True
             self._reading = True
@@ -225,7 +230,8 @@ class RemoteSpace:
             with self._lock:
                 self._reading = False
                 release = self._closed
-                self._turn.notify_all()
+                if self._followers:
+                    self._turn.notify_all()
                 if self._callback_legs:
                     self._legs_due.notify()
             if release:
@@ -247,7 +253,8 @@ class RemoteSpace:
             if pending is None:
                 return  # its request already failed (send error or lost connection)
             self._settle(pending, kind, payload)
-            self._turn.notify_all()
+            if self._followers:
+                self._turn.notify_all()
         if pending.on_done is not None:
             pending.on_done(pending)
 

@@ -12,7 +12,8 @@ request from the table.
 A timed request that parks keeps its deadline in the table, and the
 connection thread expires it: its reader's deadline is the earliest one
 pending, so read_frame returns None when that passes, even with a frame half
-received.  The timeout, CANCEL and shutdown each cancel the waiter and send
+received.  With nothing pending the reader has no deadline, and reading costs
+no poll call.  The timeout, CANCEL and shutdown each cancel the waiter and send
 their own reply only when that cancel wins the race against satisfaction, so
 every request gets exactly one reply.
 """
@@ -145,6 +146,9 @@ class SpaceServer:
             if not self._hello(conn):
                 return
             while True:
+                if not conn.waiters:
+                    # Nothing left to expire.  Only this thread adds entries.
+                    conn.reader.deadline = None
                 frame = wire.read_frame(conn.reader)
                 if frame is None:
                     self._expire(conn)

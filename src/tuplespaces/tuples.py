@@ -274,6 +274,16 @@ class PatternField:
 ANY = PatternField(ANY_WILDCARD)
 
 
+def _new_literal(value: Value) -> PatternField:
+    """A literal over a Value its caller has just built: no check (template_of
+    and the wire codec only)."""
+    field = object.__new__(PatternField)
+    field.kind = LITERAL
+    field.tag = value.tag
+    field.value = value
+    return field
+
+
 def lit(x) -> PatternField:
     return PatternField(LITERAL, value=value_of(x))
 
@@ -350,4 +360,4 @@ def match(tpl: Template, tup: Tuple) -> bool:
 
 def template_of(tup: Tuple) -> Template:
     """The all-literal template of a tuple; matches its source by construction."""
-    return _new_template(tuple([PatternField(LITERAL, value=v) for v in tup.fields]))
+    return _new_template(tuple([_new_literal(v) for v in tup.fields]))

@@ -757,3 +757,74 @@ def test_timed_rd_expires_while_the_next_frame_is_half_sent(size):
             assert space.count(template(ANY, ANY)) == 1
         finally:
             sock.close()
+
+
+def test_followers_are_counted_and_each_gets_its_own_reply():
+    """Followers are woken only while counted; every wait, timed or not, uncounts itself."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with served_space() as (space, srv), connected(srv) as cl:
+            errors = []
+            stop = threading.Event()
+
+            def run(body):
+                def target():
+                    try:
+                        body()
+                    except BaseException as e:  # reported below, outside the thread
+                        errors.append(e)
+                        raise
+                return threading.Thread(target=target)
+
+            parked = []
+            parker = run(lambda: parked.append(cl.rd(template("late", ANY))))
+
+            def time_out_again_and_again():
+                leg = cl.rd_async(template("never"), timeout=None)
+                timeouts = 0
+                while not stop.is_set():
+                    assert not leg.wait(0.01)
+                    timeouts += 1
+                cl.cancel(leg)
+                assert leg.wait(10) and leg.kind == "none" and timeouts > 0
+
+            def probe(i):
+                tup = make_tuple("own", i)
+                cl.out(tup)
+                for _ in range(300):
+                    assert cl.rdp(template("own", i)) == tup
+
+            waiter = run(time_out_again_and_again)
+            probers = [run(lambda i=i: probe(i)) for i in range(2)]
+            for th in [parker, waiter, *probers]:
+                th.start()
+            for th in probers:
+                th.join(10)
+            stop.set()
+            waiter.join(10)
+            space.out(make_tuple("late", 1))
+            parker.join(10)
+            assert not any(th.is_alive() for th in [parker, waiter, *probers])
+            assert errors == []
+            assert parked == [make_tuple("late", 1)]
+            with cl._lock:
+                assert cl._followers == 0
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_reader_deadline_is_dropped_once_no_timed_request_is_parked():
+    with served_space() as (space, srv), connected(srv) as cl:
+        leg = cl.rd_async(template("soon"), timeout=30)
+        assert cl.rdp(template("other")) is None  # served after the rd parked
+        (conn,) = srv._conns
+        assert conn.reader.deadline is not None
+        cl.out(make_tuple("soon"))
+        assert leg.wait(5) and leg.kind == "tuple"
+        assert cl.rdp(template("other")) is None
+        assert conn.reader.deadline is None
+        t0 = time.monotonic()
+        with pytest.raises(SpaceTimeout):
+            cl.rd(template("missing"), timeout=0.05)
+        assert 0.05 <= time.monotonic() - t0 < 1.0

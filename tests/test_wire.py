@@ -242,3 +242,99 @@ def test_body_helpers_roundtrip():
     ms, got = wire.unpack_blocking(wire.pack_blocking(0, tpl))
     assert ms == 0 and got == tpl
     assert wire.unpack_count_reply(wire.pack_count_reply(12345)) == 12345
+
+
+# One field of every tag, and a template with a literal and both wildcards;
+# each encoding is built field by field so that its tag offsets are known.
+_EVERY_TAG = (-5, 2.5, "é", b"\x00\xff", int_array([1, -2]), float_array([0.5]))
+_PATTERN = (lit("k"), wildcard(INT), ANY)
+_VALUE_TAGS = frozenset(range(1, 7))
+_PATTERN_TAGS = _VALUE_TAGS | frozenset(range(0x10, 0x17))
+
+
+def _tag_offsets(parts: list, start: int) -> list:
+    """Where each field's tag byte sits, the arity word starting at `start`."""
+    offsets, at = [], start + 4
+    for part in parts:
+        offsets.append(at)
+        at += len(part)
+    return offsets
+
+
+def _strict_cases():
+    fields = [wire.encode_tuple(make_tuple(x))[4:] for x in _EVERY_TAG]
+    patterns = [wire.encode_template(template(f))[4:] for f in _PATTERN]
+    tup, tpl = make_tuple(*_EVERY_TAG), template(*_PATTERN)
+    return [
+        (wire.decode_tuple, wire.encode_tuple(tup), tup, _tag_offsets(fields, 0), _VALUE_TAGS),
+        (wire.decode_template, wire.encode_template(tpl), tpl,
+         _tag_offsets(patterns, 0), _PATTERN_TAGS),
+        (wire.unpack_blocking, wire.pack_blocking(250, tpl), (250, tpl),
+         _tag_offsets(patterns, 8), _PATTERN_TAGS),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["tuple", "template", "blocking"])
+@pytest.mark.parametrize("as_view", [False, True], ids=["bytes", "memoryview"])
+def test_every_prefix_extension_and_bad_tag_is_malformed(case, as_view):
+    decode, enc, want, tag_offsets, valid_tags = _strict_cases()[case]
+
+    def body(data: bytes):
+        # A view of a bytearray is what read_frame returns for a large body.
+        return memoryview(bytearray(data)) if as_view else data
+
+    assert decode(enc) == want
+    assert decode(body(enc)) == want
+    for cut in range(len(enc)):
+        with pytest.raises(MalformedFrame):
+            decode(body(enc[:cut]))
+    for extra in range(256):
+        with pytest.raises(MalformedFrame):
+            decode(body(enc + bytes([extra])))
+    for at in tag_offsets:
+        assert enc[at] in valid_tags
+        for tag in range(256):
+            if tag not in valid_tags:
+                with pytest.raises(MalformedFrame):
+                    decode(body(enc[:at] + bytes([tag]) + enc[at + 1:]))
+
+
+_STREAM_FRAMES = [
+    wire.build_frame(wire.MSG_REPLY_TUPLE, 5, wire.encode_tuple(make_tuple("p", 1, 2.5))),
+    wire.build_frame(wire.MSG_REPLY_NONE, 6),
+    wire.build_frame(wire.MSG_COUNT_REPLY, 7, wire.pack_count_reply(3)),
+]
+
+
+@pytest.mark.parametrize("sends", [
+    [_STREAM_FRAMES[0]],
+    [_STREAM_FRAMES[0] + _STREAM_FRAMES[1]],
+    [_STREAM_FRAMES[2] + _STREAM_FRAMES[0][:9], _STREAM_FRAMES[0][9:]],
+], ids=["one-frame", "two-frames", "frame-and-half"])
+def test_whole_chunks_read_as_the_same_frames_as_single_bytes(sends):
+    """A frame returned straight from its chunk equals one built up byte by byte."""
+
+    def frames_read(pieces: list) -> list:
+        a, b = socket.socketpair()
+        try:
+            reader = wire.FrameReader(a)
+            got = []
+            for piece in pieces:
+                b.sendall(piece)
+                # Read all the piece completes before sending the next, so
+                # that each piece reaches the reader in a recv of its own.
+                reader.deadline = time.monotonic() + 0.002
+                while (frame := wire.read_frame(reader)) is not None:
+                    got.append(frame[:2] + (bytes(frame[2]),))
+            assert not reader._buf
+            return got
+        finally:
+            a.close()
+            b.close()
+
+    stream = b"".join(sends)
+    buf, want = bytearray(stream), []
+    while (frame := wire.pop_frame(buf)) is not None:
+        want.append(frame)
+    assert frames_read(sends) == want
+    assert frames_read([stream[i:i + 1] for i in range(len(stream))]) == want
