@@ -2,7 +2,7 @@
 
 Core surface:
 
-* tuples      -- values, tuples, templates and the matching relation
+* tuples      -- flat tuples and templates and the matching relation
 * store       -- LocalSpace: indexed multiset with blocking read/take
 * wire        -- binary codec and framing
 * server / client -- serve a LocalSpace over TCP / RemoteSpace handle
@@ -47,7 +47,6 @@ from .tuples import (
     PatternField,
     Template,
     Tuple,
-    Value,
     float_array,
     int_array,
     lit,
@@ -88,7 +87,6 @@ __all__ = [
     "Tuple",
     "TupleSpaceError",
     "Unreachable",
-    "Value",
     "VersionMismatch",
     "WaiterCancelled",
     "float_array",

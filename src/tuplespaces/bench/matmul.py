@@ -45,7 +45,7 @@ def run_master(h: RoleHandles) -> CaseResult:
     rows: dict[int, array] = {}
     for _ in range(n):
         tup = h.take_local(c_tpl)
-        rows[tup.fields[1].data] = tup.fields[2].data
+        rows[tup.data[1]] = tup.data[2]
     master_stop_timer(h)
 
     final = [list(rows[i]) for i in range(n)]
@@ -69,14 +69,14 @@ def run_worker(h: RoleHandles) -> None:
     a_rows: dict[int, array] = {}
     for _ in owned:
         tup = h.take_local(a_tpl)
-        a_rows[tup.fields[1].data] = tup.fields[2].data
+        a_rows[tup.data[1]] = tup.data[2]
 
     for i in sorted(a_rows):
         a_row = a_rows[i]
         c_row = [0.0] * n
         for j in range(n):
             got = h.search(template(B_ROW_NAME, j, ANY), destructive=False)
-            b_row = got.tuple.fields[2].data
+            b_row = got.tuple.data[2]
             a_ij = a_row[j]
             for m in range(n):
                 c_row[m] = c_row[m] + a_ij * b_row[m]

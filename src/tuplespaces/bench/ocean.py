@@ -49,7 +49,7 @@ def run_master(h: RoleHandles) -> CaseResult:
     collected: dict[int, array] = {}
     for _ in range(w):
         tup = h.take_local(result_tpl)
-        collected[tup.fields[1].data] = tup.fields[2].data
+        collected[tup.data[1]] = tup.data[2]
     master_stop_timer(h)
 
     final = [[0.0] * n for _ in range(n)]
@@ -99,9 +99,7 @@ def run_worker(h: RoleHandles) -> None:
     w = h.cfg.workers
     panel_tpl = template(PANEL_NAME, k, wildcard(INT), wildcard(INT), wildcard(FLOAT_ARRAY))
     tup = h.take_local(panel_tpl)
-    n = tup.fields[2].data
-    width = tup.fields[3].data
-    flat = tup.fields[4].data
+    _, _, n, width, flat = tup.data
     cols = [list(flat[c * n:(c + 1) * n]) for c in range(width)]
     start = partition_ranges(n, w)[k][0]
 
@@ -113,11 +111,11 @@ def run_worker(h: RoleHandles) -> None:
         if k > 0:
             got = h.search(template(BORDER_NAME, k - 1, t, SIDE_RIGHT, ANY),
                            destructive=False)
-            left_ghost = got.tuple.fields[4].data
+            left_ghost = got.tuple.data[4]
         if k < w - 1:
             got = h.search(template(BORDER_NAME, k + 1, t, SIDE_LEFT, ANY),
                            destructive=False)
-            right_ghost = got.tuple.fields[4].data
+            right_ghost = got.tuple.data[4]
         cols = _panel_step(cols, left_ghost, right_ghost, start, n)
 
     flat_out = [x for col in cols for x in col]

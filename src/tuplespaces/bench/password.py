@@ -44,7 +44,7 @@ def run_master(h: RoleHandles) -> CaseResult:
     results = []
     for _ in range(PASSWORD_TASK_COUNT):
         tup = h.take_local(found_tpl)
-        results.append((tup.fields[1].data, tup.fields[2].data))
+        results.append((tup.data[1], tup.data[2]))
 
     for _ in range(h.cfg.workers):
         h.out_local(make_tuple(TASK_NAME, "", STATUS_DONE))
@@ -75,9 +75,9 @@ def run_worker(h: RoleHandles) -> None:
     task_tpl = template(TASK_NAME, ANY, ANY)
     while True:
         task = h.take_remote(h.master, task_tpl)
-        if task.fields[2].data == STATUS_DONE:
+        if task.data[2] == STATUS_DONE:
             return
-        hash_value = task.fields[1].data
+        hash_value = task.data[1]
         outcome = h.search(template(HASHSET_NAME, hash_value, ANY), destructive=False)
         found = outcome.tuple
-        h.out_remote(h.master, make_tuple(FOUND_NAME, found.fields[1].data, found.fields[2].data))
+        h.out_remote(h.master, make_tuple(FOUND_NAME, found.data[1], found.data[2]))

@@ -161,7 +161,7 @@ def worker_loaded(h: RoleHandles) -> None:
 def worker_read_key(h: RoleHandles) -> str:
     """Blocking read of the run key from the master's space."""
     got = h.rd_remote(h.master, template(SEARCH_GROUP, MASTER_KEY, ANY))
-    return got.fields[2].data
+    return got.data[2]
 
 
 def master_barriers(h: RoleHandles) -> None:

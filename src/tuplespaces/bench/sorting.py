@@ -77,7 +77,7 @@ def run_master(h: RoleHandles) -> CaseResult:
     runs: list[Sequence[int]] = []  # kept to check, off the clock, that each ascends
     partial: dict[int, dict[int, Sequence[int]]] = {}  # run_id -> idx -> piece
     while len(merged) < n:
-        _, run_id, idx, count, run = (f.data for f in h.take_local(sorted_tpl).fields)
+        _, run_id, idx, count, run = h.take_local(sorted_tpl).data
         if count > 1:
             parts = partial.setdefault(run_id, {})
             parts[idx] = run
@@ -114,7 +114,7 @@ def run_worker(h: RoleHandles) -> None:
     unsorted_tpl = template(UNSORTED_NAME, wildcard(INT_ARRAY))
     while True:
         outcome = h.search(unsorted_tpl, destructive=True)
-        work = outcome.tuple.fields[1].data
+        work = outcome.tuple.data[1]
         if not work:
             return  # poison pill
         while len(work) > threshold:

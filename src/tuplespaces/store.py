@@ -2,24 +2,29 @@
 
 Layout mirrors a hash table of buckets: a tuple lands in the bucket keyed by
 (arity, first field) when its first field is a string, else (arity, None).
-A bucket holds its entries in a dict keyed by global insertion stamp, so
-iteration is stamp order and removal is O(1).  Selection across buckets is
-by stamp too, so every probe returns the oldest match (FIFO).  That tie-break
-is a determinism choice: it makes the brute-force scan oracle exact.
+Everything here reads the flat layout of tuples.py directly: a tuple's
+``tags`` and ``data``, a template's ``codes`` and ``data``.  A bucket holds
+its entries in a dict keyed by global insertion stamp, so iteration is stamp
+order and removal is O(1).  Selection across buckets is by stamp too, so
+every probe returns the oldest match (FIFO).  That tie-break is a
+determinism choice: it makes the brute-force scan oracle exact.
 
 Each bucket keeps postings per position: for a position p >= 1 it maps each
-int, str or bytes value held there to the ascending stamps of the entries
-holding it.  Position 1 is indexed from the bucket's first out; a position
-from 2 up is indexed the first time a probe (rdp, inp, count or a waiter's
-registration) brings a template with such a literal there, in one pass over
-the entries in stamp order, and add/remove keep it current until the bucket
-empties and is dropped.  A probe walks the shortest posting list among its
-template's indexable literals, and finds nothing at once when one of them
-has no list.  A template with no such literal (a wildcard, float or array
-at every position after the head) scans the whole bucket.  A template with
-a literal string head looks in that one bucket; any other head scans every
-bucket of its arity.  Every candidate is still checked with ``match``, so a
-posting never decides a match on its own.
+int, str or bytes value held there (the raw ``data[p]`` of a tuple whose
+``tags[p]`` is one of those three) to the ascending stamps of the entries
+holding it.  Raw ints, strs and bytes never compare equal across types, so
+the raw value is the key, and a template's literal at p is looked up when
+its ``codes[p]`` is one of those tags.  Position 1 is indexed from the
+bucket's first out; a position from 2 up is indexed the first time a probe
+(rdp, inp, count or a waiter's registration) brings a template with such a
+literal there, in one pass over the entries in stamp order, and add/remove
+keep it current until the bucket empties and is dropped.  A probe walks the
+shortest posting list among its template's indexable literals, and finds
+nothing at once when one of them has no list.  A template with no such
+literal (a wildcard, float or array at every position after the head) scans
+the whole bucket.  A template with a literal string head looks in that one
+bucket; any other head scans every bucket of its arity.  Every candidate is
+still checked with ``match``, so a posting never decides a match on its own.
 
 Everything that waits for a tuple registers a waiter with a callback.  The
 waiter's state changes once, under the lock (satisfied at registration, by
@@ -39,7 +44,7 @@ import threading
 from typing import Callable, Optional
 
 from .errors import SpaceTimeout, WaiterCancelled
-from .tuples import BYTES, INT, LITERAL, STR, Template, Tuple, match
+from .tuples import BYTES, INT, STR, Template, Tuple, match
 
 # Waiter states.
 _PENDING = 0
@@ -91,24 +96,25 @@ class _Bucket:
 
     def add(self, stamp: int, tup: Tuple) -> None:
         self.entries[stamp] = tup
-        fields = tup.fields
+        tags = tup.tags
+        data = tup.data
         for pos, postings in self.indexed:
-            f = fields[pos]
-            if f.tag in _INDEXED_TAGS:
-                stamps = postings.get(f.data)
+            if tags[pos] in _INDEXED_TAGS:
+                stamps = postings.get(data[pos])
                 if stamps is None:
-                    postings[f.data] = [stamp]
+                    postings[data[pos]] = [stamp]
                 else:
                     stamps.append(stamp)
 
     def remove(self, stamp: int) -> None:
-        fields = self.entries.pop(stamp).fields
+        tup = self.entries.pop(stamp)
+        tags = tup.tags
+        data = tup.data
         for pos, postings in self.indexed:
-            f = fields[pos]
-            if f.tag in _INDEXED_TAGS:
-                stamps = postings[f.data]
+            if tags[pos] in _INDEXED_TAGS:
+                stamps = postings[data[pos]]
                 if len(stamps) == 1:
-                    del postings[f.data]
+                    del postings[data[pos]]
                 else:
                     stamps.remove(stamp)
 
@@ -116,9 +122,8 @@ class _Bucket:
         """Build position ``pos``'s postings: one pass in stamp order."""
         postings: dict = {}
         for stamp, tup in self.entries.items():
-            f = tup.fields[pos]
-            if f.tag in _INDEXED_TAGS:
-                postings.setdefault(f.data, []).append(stamp)
+            if tup.tags[pos] in _INDEXED_TAGS:
+                postings.setdefault(tup.data[pos], []).append(stamp)
         self.postings[pos] = postings
         self.indexed.append((pos, postings))
         return postings
@@ -127,16 +132,15 @@ class _Bucket:
         """The shortest posting list among the template's indexable literals
         (empty when one of them has none), or None when it has no such
         literal and every entry is a candidate."""
-        fields = tpl.fields
+        codes = tpl.codes
         best = None
-        for pos in range(1, len(fields)):
-            f = fields[pos]
-            if f.kind != LITERAL or f.tag not in _INDEXED_TAGS:
-                continue
+        for pos in range(1, len(codes)):
+            if codes[pos] not in _INDEXED_TAGS:
+                continue  # a wildcard, or a float or array literal
             postings = self.postings[pos]
             if postings is None:
                 postings = self._index(pos)
-            stamps = postings.get(f.value.data)
+            stamps = postings.get(tpl.data[pos])
             if stamps is None:
                 return ()
             if best is None or len(stamps) < len(best):
@@ -181,16 +185,15 @@ class LocalSpace:
 
     @staticmethod
     def bucket_key(tup: Tuple) -> tuple:
-        first = tup.fields[0]
-        head = first.data if first.tag == STR else None
-        return (tup.arity, head)
+        tags = tup.tags
+        return (len(tags), tup.data[0] if tags[0] == STR else None)
 
     def _candidate_keys(self, tpl: Template) -> list:
-        ar = tpl.arity
-        first = tpl.fields[0]
-        if first.kind == LITERAL and first.tag == STR:
+        codes = tpl.codes
+        ar = len(codes)
+        if codes[0] == STR:
             # Only tuples with this string head can match a string literal.
-            key = (ar, first.value.data)
+            key = (ar, tpl.data[0])
             return [key] if key in self._buckets else []
         return [k for k in self._buckets if k[0] == ar]
 
@@ -245,7 +248,7 @@ class LocalSpace:
                 key = self.bucket_key(tup)
                 bucket = self._buckets.get(key)
                 if bucket is None:
-                    bucket = self._buckets[key] = _Bucket(tup.arity)
+                    bucket = self._buckets[key] = _Bucket(len(tup.tags))
                 bucket.add(self._stamp, tup)
         for w in to_complete:
             if w.on_complete is not None:

@@ -7,14 +7,17 @@ Everything is little-endian and bit-exact.  A frame is
 where length covers msg_type + request_id + body (9 + len(body)).  Tuples
 are encoded as u32 arity then tagged fields; templates reuse the value tags
 for literals and use 0x10 for the any-wildcard and 0x10+tag for a type
-wildcard.  An array field is u32 n then its n little-endian 8-byte elements,
-copied to and from the value's ``array`` buffer in one step (byteswapped on
-a big-endian host).  Decoding is strict: unknown tags, truncation, oversized
-declared lengths, trailing bytes and invalid UTF-8 all raise MalformedFrame
-rather than ever mis-decoding.  The decoders read at offsets with
-`Struct.unpack_from`, straight from the body, be it bytes or a memoryview;
-there is no cursor object, and `_whole` checks that a body is used to its last
-byte.
+wildcard.  These field codes are exactly a tuple's ``tags`` and a template's
+``codes`` (see tuples.py), so one loop encodes either, joining its parts in
+one copy, and one decoder loop builds the ``codes`` and ``data`` tuples
+straight from the bytes, with no object per field.  An array field is u32 n
+then its n little-endian 8-byte elements, copied to and from the ``array``
+buffer in one step (byteswapped on a big-endian host).  Decoding is strict:
+unknown tags, truncation, oversized declared lengths, trailing bytes and
+invalid UTF-8 all raise MalformedFrame rather than ever mis-decoding.  The
+decoders read at offsets with `Struct.unpack_from`, straight from the body,
+be it bytes or a memoryview; there is no cursor object, and `_whole` checks
+that a body is used to its last byte.
 
 `read_frame` is the one way to read frames off a socket, for the server's
 connection threads and the client's readers alike.  It reads through a
@@ -37,24 +40,15 @@ from array import array
 
 from .errors import ConnectionLost, MalformedFrame, PayloadTooLarge
 from .tuples import (
-    ALL_TAGS,
-    ANY,
-    ANY_WILDCARD,
     BYTES,
     FLOAT,
     FLOAT_ARRAY,
     INT,
     INT_ARRAY,
-    LITERAL,
     STR,
-    TYPE_WILDCARD,
-    PatternField,
+    WILDCARD_CODES,
     Template,
     Tuple,
-    Value,
-    _new_literal,
-    _new_template,
-    _new_tuple,
 )
 
 PROTOCOL_VERSION = 1
@@ -92,7 +86,7 @@ ERR_SHUTTING_DOWN = 4
 
 INFINITE_MS = (1 << 64) - 1  # u64 sentinel: block forever
 
-_WILDCARD_BASE = 0x10
+_NO_WILDCARDS = frozenset()
 
 _U16_U32 = struct.Struct("<HI")
 _U32 = struct.Struct("<I")
@@ -101,137 +95,133 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _FRAME_HEAD = struct.Struct("<IBQ")
 
+_u32_pack = _U32.pack
+# A field's code with its fixed-size payload, or with the u32 length that
+# leads a str, bytes or array payload.
+_int_field = struct.Struct("<Bq").pack
+_float_field = struct.Struct("<Bd").pack
+_sized_head = struct.Struct("<BI").pack
+_WILDCARD_BYTES = {code: bytes((code,)) for code in WILDCARD_CODES}
+_u32_from = _U32.unpack_from
+_i64_from = _I64.unpack_from
+_f64_from = _F64.unpack_from
+
 # Array buffers are native order; the wire is little-endian.
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _encode_payload(buf: bytearray, v: Value) -> None:
-    tag = v.tag
-    if tag == INT:
-        buf += _I64.pack(v.data)
-    elif tag == FLOAT:
-        buf += _F64.pack(v.data)
-    elif tag == STR:
-        raw = v.data.encode("utf-8")
-        buf += _U32.pack(len(raw))
-        buf += raw
-    elif tag == BYTES:
-        buf += _U32.pack(len(v.data))
-        buf += v.data
-    elif tag == INT_ARRAY or tag == FLOAT_ARRAY:
-        data = v.data
-        buf += _U32.pack(len(data))
-        if _BIG_ENDIAN:
-            data = array(data.typecode, data)
-            data.byteswap()
-        buf += data
-    else:  # pragma: no cover - construction prevents this
-        raise MalformedFrame(f"unknown value tag {tag}")
+def _encode(codes: tuple, data: tuple) -> bytes:
+    """The u32 arity, then each field's code and payload, joined in one copy.
+    A wildcard code has no payload."""
+    parts = [_u32_pack(len(codes))]
+    add = parts.append
+    for code, x in zip(codes, data):
+        if code == STR:
+            x = x.encode("utf-8")
+            add(_sized_head(code, len(x)))
+            add(x)
+        elif code == INT:
+            add(_int_field(code, x))
+        elif code == FLOAT:
+            add(_float_field(code, x))
+        elif code == BYTES:
+            add(_sized_head(code, len(x)))
+            add(x)
+        elif code == INT_ARRAY or code == FLOAT_ARRAY:
+            add(_sized_head(code, len(x)))
+            if _BIG_ENDIAN:
+                x = array(x.typecode, x)
+                x.byteswap()
+            add(x)
+        else:
+            add(_WILDCARD_BYTES[code])
+    return b"".join(parts)
+
+
+def encode_tuple(tup: Tuple) -> bytes:
+    return _encode(tup.tags, tup.data)
+
+
+def encode_template(tpl: Template) -> bytes:
+    return _encode(tpl.codes, tpl.data)
 
 
 _TRUNCATED = "truncated: declared length exceeds available bytes"
 _new_object = object.__new__
 
 
-def _value_at(buf, pos: int, tag: int) -> tuple[Value, int]:
-    """The value of type `tag` whose payload starts at buf[pos], and where it ends.
+def _fields_at(buf, pos: int, wildcards: frozenset) -> tuple[tuple, tuple, int]:
+    """The (codes, data) of the u32 arity and the fields starting at buf[pos],
+    and where they end.  A code in ``wildcards`` has no payload; any other
+    code that is not a value tag is malformed.
 
-    A fixed-size read past the end raises struct.error, which _whole turns
-    into MalformedFrame; a declared length is checked here.  The Value is
-    built without calling its __init__, a fifth of a small field's cost.
+    A fixed-size read past the end raises struct.error or IndexError, which
+    _whole turns into MalformedFrame; a declared length is checked here.
     """
-    if tag == INT:
-        data = _I64.unpack_from(buf, pos)[0]
-        end = pos + 8
-    elif tag == FLOAT:
-        data = _F64.unpack_from(buf, pos)[0]
-        end = pos + 8
-    else:
-        if not STR <= tag <= FLOAT_ARRAY:
-            raise MalformedFrame(f"unknown value tag {tag}")
-        (n,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        end = pos + (n if tag == STR or tag == BYTES else 8 * n)
-        if end > len(buf):
-            raise MalformedFrame(_TRUNCATED)
-        if tag == STR:
-            try:
-                data = str(buf[pos:end], "utf-8")
-            except UnicodeDecodeError as e:
-                raise MalformedFrame(f"invalid UTF-8 in string field: {e}") from None
-        elif tag == BYTES:
-            data = bytes(buf[pos:end])
-        else:
-            data = array("q" if tag == INT_ARRAY else "d")
-            data.frombytes(buf[pos:end])
+    (arity,) = _u32_from(buf, pos)
+    if arity < 1:
+        raise MalformedFrame("arity must be >= 1")
+    pos += 4
+    codes = []
+    data = []
+    for _ in range(arity):
+        code = buf[pos]
+        pos += 1
+        if code == STR or code == BYTES:
+            (n,) = _u32_from(buf, pos)
+            pos += 4
+            end = pos + n
+            if end > len(buf):
+                raise MalformedFrame(_TRUNCATED)
+            if code == STR:
+                try:
+                    x = str(buf[pos:end], "utf-8")
+                except UnicodeDecodeError as e:
+                    raise MalformedFrame(f"invalid UTF-8 in string field: {e}") from None
+            else:
+                x = bytes(buf[pos:end])
+            pos = end
+        elif code == INT:
+            x = _i64_from(buf, pos)[0]
+            pos += 8
+        elif code == FLOAT:
+            x = _f64_from(buf, pos)[0]
+            pos += 8
+        elif code == INT_ARRAY or code == FLOAT_ARRAY:
+            (n,) = _u32_from(buf, pos)
+            pos += 4
+            end = pos + 8 * n
+            if end > len(buf):
+                raise MalformedFrame(_TRUNCATED)
+            x = array("q" if code == INT_ARRAY else "d")
+            x.frombytes(buf[pos:end])
             if _BIG_ENDIAN:
-                data.byteswap()
-    value = _new_object(Value)
-    value.tag = tag
-    value.data = data
-    return value, end
-
-
-def encode_tuple(tup: Tuple) -> bytes:
-    buf = bytearray(_U32.pack(tup.arity))
-    for v in tup.fields:
-        buf.append(v.tag)
-        _encode_payload(buf, v)
-    return bytes(buf)
+                x.byteswap()
+            pos = end
+        elif code in wildcards:
+            x = None
+        else:
+            raise MalformedFrame(f"unknown field code {code}")
+        codes.append(code)
+        data.append(x)
+    return tuple(codes), tuple(data), pos
 
 
 def _tuple_at(buf, pos: int) -> tuple[Tuple, int]:
-    (arity,) = _U32.unpack_from(buf, pos)
-    if arity < 1:
-        raise MalformedFrame("tuple arity must be >= 1")
-    pos += 4
-    fields = []
-    for _ in range(arity):
-        value, pos = _value_at(buf, pos + 1, buf[pos])
-        fields.append(value)
-    return _new_tuple(tuple(fields)), pos
+    # Built without Tuple.__init__: _fields_at has checked every field.
+    tup = _new_object(Tuple)
+    tup.tags, tup.data, end = _fields_at(buf, pos, _NO_WILDCARDS)
+    return tup, end
 
 
 def decode_tuple(data: bytes | memoryview) -> Tuple:
     return _whole(_tuple_at, data)
 
 
-def encode_template(tpl: Template) -> bytes:
-    buf = bytearray(_U32.pack(tpl.arity))
-    for f in tpl.fields:
-        if f.kind == LITERAL:
-            buf.append(f.value.tag)
-            _encode_payload(buf, f.value)
-        elif f.kind == ANY_WILDCARD:
-            buf.append(_WILDCARD_BASE)
-        else:
-            buf.append(_WILDCARD_BASE + f.tag)
-    return bytes(buf)
-
-
-# The wildcard fields a template decodes to, by wire tag; they are shared.
-_WILDCARDS = {_WILDCARD_BASE: ANY}
-_WILDCARDS.update((_WILDCARD_BASE + tag, PatternField(TYPE_WILDCARD, tag=tag)) for tag in ALL_TAGS)
-
-
 def _template_at(buf, pos: int) -> tuple[Template, int]:
-    (arity,) = _U32.unpack_from(buf, pos)
-    if arity < 1:
-        raise MalformedFrame("template arity must be >= 1")
-    pos += 4
-    fields = []
-    for _ in range(arity):
-        tag = buf[pos]
-        if tag < _WILDCARD_BASE:
-            value, pos = _value_at(buf, pos + 1, tag)
-            fields.append(_new_literal(value))
-        else:
-            field = _WILDCARDS.get(tag)
-            if field is None:
-                raise MalformedFrame(f"unknown field tag {tag}")
-            fields.append(field)
-            pos += 1
-    return _new_template(tuple(fields)), pos
+    tpl = _new_object(Template)
+    tpl.codes, tpl.data, end = _fields_at(buf, pos, WILDCARD_CODES)
+    return tpl, end
 
 
 def decode_template(data: bytes | memoryview) -> Template:

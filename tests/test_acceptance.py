@@ -130,7 +130,7 @@ def test_criterion_2_store_semantics():
             th.join(20)
         wins = [r for r in outcomes if r is not None]
         violations += len(wins) != k
-        violations += len({r.fields[1].data for r in wins}) != k
+        violations += len({r.data[1] for r in wins}) != k
         violations += sp.size() != 0
 
     # no lost wake-ups: every blocking request issued before a matching out

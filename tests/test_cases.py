@@ -216,12 +216,12 @@ def test_ocean_border_consistency(tmp_path, monkeypatch):
     panels = partition_ranges(n, w)
     checked = 0
     for tpl, tup in captured:
-        if tup.fields[0].data != "border":
+        if tup.data[0] != "border":
             continue
-        neighbor = tup.fields[1].data
-        t = tup.fields[2].data
-        side = tup.fields[3].data
-        col = list(tup.fields[4].data)
+        neighbor = tup.data[1]
+        t = tup.data[2]
+        side = tup.data[3]
+        col = list(tup.data[4])
         state = ocean_reference(n, t - 1)
         lo, hi = panels[neighbor]
         j = hi - 1 if side == "right" else lo

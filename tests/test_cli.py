@@ -84,9 +84,9 @@ def test_correctness_failure_exit_code(tmp_path, monkeypatch):
         task_tpl = template(TASK_NAME, ANY, ANY)
         while True:
             task = h.take_remote(h.master, task_tpl)
-            if task.fields[2].data == STATUS_DONE:
+            if task.data[2] == STATUS_DONE:
                 return
-            h.out_remote(h.master, make_tuple(FOUND_NAME, task.fields[1].data, "wrong"))
+            h.out_remote(h.master, make_tuple(FOUND_NAME, task.data[1], "wrong"))
 
     monkeypatch.setattr(password_mod, "run_worker", lying_worker)
     rc = run_cli("run", "--case", "password", "--workers", "1", "--size", "50",

@@ -292,7 +292,7 @@ def test_blocking_race_hammer_conserves_tuples():
                 try:
                     got = cl.in_(tpl, timeout=r.below(20) / 1000.0)
                     with lock:
-                        consumed.append(got.fields[1].data)
+                        consumed.append(got.data[1])
                 except SpaceTimeout:
                     pass
                 except ConnectionLost:

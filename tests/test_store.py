@@ -12,7 +12,6 @@ from tuplespaces import (
     INT,
     STR,
     LocalSpace,
-    PatternField,
     SpaceTimeout,
     Template,
     WaiterCancelled,
@@ -25,7 +24,6 @@ from tuplespaces import (
 )
 from tuplespaces import store as store_mod
 from tuplespaces.rng import SplitMix64
-from tuplespaces.tuples import LITERAL
 
 from util import ShadowSpace, random_tuple, template_from_tuple
 
@@ -186,7 +184,7 @@ def test_concurrent_inp_all_distinct():
     for th in threads:
         th.join(3)
     assert all(r is not None for r in got)
-    assert len({r.fields[1].data for r in got}) == n
+    assert len({r.data[1] for r in got}) == n
     assert sp.size() == 0
 
 
@@ -216,7 +214,7 @@ def test_atomic_take_k_racers_m_extra():
         th.join(5)
     wins = [r for r in outcomes if r is not None]
     assert len(wins) == k
-    assert len({r.fields[1].data for r in wins}) == k
+    assert len({r.data[1] for r in wins}) == k
     assert sp.size() == 0
 
 
@@ -238,7 +236,7 @@ def test_timeout_race_hammer_conserves_tuples():
             except SpaceTimeout:
                 continue
             with lock:
-                consumed.append(got.fields[1].data)
+                consumed.append(got.data[1])
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -450,13 +448,12 @@ def _collision_templates(rng, universe):
     plus random derivations."""
     templates = []
     for t in universe:
-        head = t.fields[0]
         rest = [ANY] * (t.arity - 2)
-        for h in (PatternField(LITERAL, value=head), wildcard(head.tag), ANY):
+        for h in (lit(t.data[0]), wildcard(t.tags[0]), ANY):
             if t.arity == 1:
                 templates.append(Template([h]))
             else:
-                templates.append(Template([h, PatternField(LITERAL, value=t.fields[1])] + rest))
+                templates.append(Template([h, lit(t.data[1])] + rest))
         templates.append(template_from_tuple(rng, t))
     return templates
 
@@ -503,12 +500,11 @@ def _positional_collision_template(rng, base, values, absent):
     """A template shaped on ``base``: at each position after the head, the
     base's own value, ANY, a colliding value, or a value no tuple holds (so
     no posting list has it)."""
-    head = base.fields[0]
-    fields = [(PatternField(LITERAL, value=head), wildcard(head.tag), ANY)[rng.below(3)]]
-    for v in base.fields[1:]:
+    fields = [(lit(base.data[0]), wildcard(base.tags[0]), ANY)[rng.below(3)]]
+    for v in base.data[1:]:
         k = rng.below(5)
         if k <= 1:
-            fields.append(PatternField(LITERAL, value=v))
+            fields.append(lit(v))
         elif k == 2:
             fields.append(ANY)
         elif k == 3:

@@ -1,5 +1,6 @@
 """Codec bit-exactness, strict decoding, frame integrity."""
 
+import hashlib
 import math
 import socket
 import struct
@@ -25,7 +26,7 @@ from tuplespaces import (
 )
 from tuplespaces import wire
 from tuplespaces.rng import SplitMix64
-from tuplespaces.tuples import value_of
+from tuplespaces.tuples import ALL_TAGS
 
 from util import random_template, random_tuple
 
@@ -63,7 +64,7 @@ def test_array_layouts_match_struct_pack():
         assert wire.encode_tuple(tup) == want
         got = wire.decode_tuple(want)
         assert got == tup
-        assert got.fields[0].data.tobytes() == tup.fields[0].data.tobytes()
+        assert got.data[0].tobytes() == tup.data[0].tobytes()
     assert wire.decode_tuple(_array_field(6, "<1d", [_nan(1)])) != make_tuple(float_array([_nan(2)]))
 
 
@@ -89,8 +90,105 @@ def test_big_endian_host_swaps_array_elements(monkeypatch):
         assert enc == want
     got = wire.decode_tuple(enc)
     assert got == tup
-    assert tup.fields[0].data.tolist() == _INTS
+    assert tup.data[0].tolist() == _INTS
 
+
+
+# -- the wire format, pinned ----------------------------------------------------
+
+def _float_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_PINNED_TEXT = ((0x20, 0x7E), (0xA1, 0x2FF), (0x4E00, 0x4EFF), (0x1F300, 0x1F3FF))
+
+
+def _pinned_text(rng: SplitMix64) -> str:
+    chars = []
+    for _ in range(rng.below(9)):
+        lo, hi = _PINNED_TEXT[rng.below(len(_PINNED_TEXT))]
+        chars.append(chr(lo + rng.below(hi - lo + 1)))
+    return "".join(chars)
+
+
+def _pinned_value(rng: SplitMix64):
+    k = rng.below(8)
+    if k == 0:
+        return rng.next_i64()
+    if k == 1:
+        return _float_bits(rng.next_u64())
+    if k == 2:
+        return _pinned_text(rng)
+    if k == 3:
+        return bytes(rng.below(256) for _ in range(rng.below(9)))
+    if k == 4:
+        return int_array(rng.next_i64() for _ in range(rng.below(6)))
+    if k == 5:
+        return float_array(_float_bits(rng.next_u64()) for _ in range(rng.below(6)))
+    # The edges: int64 bounds, both zeros, NaN payloads of either sign,
+    # empty str, bytes and arrays, and a string beyond the BMP.
+    return (-(2**63), 2**63 - 1, 0.0, -0.0, _float_bits(0x7FF8000000000001),
+            _float_bits(0xFFF0000000000002), _float_bits(0x7FF8000000000000), "", b"",
+            int_array([]), float_array([]), "\u00e9\u2603\U0001F30D")[rng.below(12)]
+
+
+def _pinned_pattern(rng: SplitMix64):
+    k = rng.below(4)
+    if k == 0:
+        return ANY
+    if k == 1:
+        return wildcard(ALL_TAGS[rng.below(len(ALL_TAGS))])
+    return lit(_pinned_value(rng))
+
+
+def _pinned_corpus():
+    """Tuples, templates and blocking bodies drawn from one SplitMix64 seed,
+    led by a tuple of all six tags and a template of ANY and every type
+    wildcard."""
+    rng = SplitMix64(20261019)
+    tuples = [make_tuple(1, 0.5, "s", b"b", int_array([1]), float_array([0.5]))]
+    templates = [template(ANY, *(wildcard(tag) for tag in ALL_TAGS))]
+    tuples += [make_tuple(*(_pinned_value(rng) for _ in range(1 + rng.below(5))))
+               for _ in range(300)]
+    templates += [template(*(_pinned_pattern(rng) for _ in range(1 + rng.below(5))))
+                  for _ in range(300)]
+    timeouts = (0, 1, 250, wire.INFINITE_MS)
+    blocking = [(timeouts[i % 4] if i % 5 else rng.next_u64(),
+                 templates[rng.below(len(templates))]) for i in range(100)]
+    return tuples, templates, blocking
+
+
+# SHA-256 of the corpus's encodings, computed before tuples and templates
+# were stored flat; any change to the wire format changes it.
+_PINNED_DIGEST = "360b2202e8efa72dd03afdf8bfe8b08cc2bc848f5b6a45ca5a6bd038fdb730c4"
+
+
+def test_pinned_corpus_encodes_to_the_pinned_digest_and_decodes_back():
+    tuples, templates, blocking = _pinned_corpus()
+    # The corpus holds every edge, in tuples and in template literals.
+    for fields in ([t.data for t in tuples], [t.data for t in templates]):
+        held = {(type(x), x.tobytes() if hasattr(x, "tobytes") else x)
+                for data in fields for x in data if type(x) is not float}
+        held |= {struct.pack("<d", x) for data in fields for x in data if type(x) is float}
+        for edge in (-(2**63), 2**63 - 1, "", b"", "\u00e9\u2603\U0001F30D"):
+            assert (type(edge), edge) in held
+        assert {struct.pack("<Q", bits) for bits in (0, 1 << 63, 0x7FF8000000000001,
+                                                    0xFFF0000000000002)} <= held
+        assert {(t, b"") for t in (type(int_array([])), type(float_array([])))} <= held
+    digest = hashlib.sha256()
+    for tup in tuples:
+        enc = wire.encode_tuple(tup)
+        digest.update(enc)
+        assert wire.decode_tuple(enc) == tup
+    for tpl in templates:
+        enc = wire.encode_template(tpl)
+        digest.update(enc)
+        assert wire.decode_template(enc) == tpl
+    for timeout_ms, tpl in blocking:
+        enc = wire.pack_blocking(timeout_ms, tpl)
+        digest.update(enc)
+        assert wire.unpack_blocking(enc) == (timeout_ms, tpl)
+    assert digest.hexdigest() == _PINNED_DIGEST
 
 def test_template_wildcard_tags():
     enc = wire.encode_template(template(ANY))
@@ -122,7 +220,7 @@ _scalars = st.one_of(
     st.binary(max_size=6),
 )
 _values = st.one_of(
-    _scalars.map(value_of),
+    _scalars,
     st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=4).map(int_array),
     st.lists(st.floats(allow_nan=True, width=64), max_size=4).map(float_array),
 )

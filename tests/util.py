@@ -8,25 +8,16 @@ from tuplespaces import (
     ANY,
     LocalSpace,
     NodeAddress,
-    PatternField,
     RemoteSpace,
     SpaceServer,
     Template,
     Tuple,
+    lit,
     match,
     wildcard,
 )
 from tuplespaces.rng import SplitMix64
-from tuplespaces.tuples import (
-    ALL_TAGS,
-    LITERAL,
-    Value,
-    bytes_value,
-    float_array,
-    int_array,
-    int_value,
-    str_value,
-)
+from tuplespaces.tuples import ALL_TAGS, float_array, int_array
 import struct
 
 
@@ -49,16 +40,17 @@ def random_text(rng: SplitMix64, max_len: int = 10) -> str:
     return "".join(chars)
 
 
-def random_value(rng: SplitMix64, max_elems: int = 8) -> Value:
+def random_value(rng: SplitMix64, max_elems: int = 8):
+    """A field value of any of the six tags, as make_tuple and lit take it."""
     k = rng.below(6)
     if k == 0:
-        return int_value(rng.next_i64())
+        return rng.next_i64()
     if k == 1:
-        return Value(2, random_float_bits(rng))
+        return random_float_bits(rng)
     if k == 2:
-        return str_value(random_text(rng))
+        return random_text(rng)
     if k == 3:
-        return bytes_value(bytes(rng.below(256) for _ in range(rng.below(max_elems + 1))))
+        return bytes(rng.below(256) for _ in range(rng.below(max_elems + 1)))
     if k == 4:
         return int_array(rng.next_i64() for _ in range(rng.below(max_elems + 1)))
     return float_array(random_float_bits(rng) for _ in range(rng.below(max_elems + 1)))
@@ -75,7 +67,7 @@ def random_template(rng: SplitMix64, max_arity: int = 4) -> Template:
     for _ in range(arity):
         k = rng.below(3)
         if k == 0:
-            fields.append(PatternField(LITERAL, value=random_value(rng)))
+            fields.append(lit(random_value(rng)))
         elif k == 1:
             fields.append(wildcard(ALL_TAGS[rng.below(len(ALL_TAGS))]))
         else:
@@ -86,12 +78,12 @@ def random_template(rng: SplitMix64, max_arity: int = 4) -> Template:
 def template_from_tuple(rng: SplitMix64, tup: Tuple) -> Template:
     """A template derived from a tuple (matches it by construction)."""
     fields = []
-    for v in tup.fields:
+    for tag, x in zip(tup.tags, tup.data):
         k = rng.below(3)
         if k == 0:
-            fields.append(PatternField(LITERAL, value=v))
+            fields.append(lit(x))
         elif k == 1:
-            fields.append(wildcard(v.tag))
+            fields.append(wildcard(tag))
         else:
             fields.append(ANY)
     return Template(fields)
