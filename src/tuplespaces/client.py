@@ -10,7 +10,11 @@ PLoP 2000).  At most one thread reads the socket at a time, the leader.  It
 completes whichever pending request each frame belongs to and, once its own
 reply is in, steps down so that one of the threads still waiting (the
 followers) takes over.  A caller alone on its handle therefore reads its own
-reply, with no hand-off to another thread.  The leader reads with
+reply, with no hand-off to another thread.  The six synchronous operations
+take one path (`_call`): the caller registers its request and, when nobody
+reads, takes the reading role in the same lock acquisition, then sends and
+reads.  A caller whose send fails gives the role back and wakes the
+followers before it raises ConnectionLost.  The leader reads with
 wire.read_frame, through the handle's one FrameReader, whose deadline it sets
 to its own so that a timed wait ends on time even while a reply is only partly
 in.  `rd_async` legs with an `on_done` callback have no caller to read for
@@ -196,7 +200,7 @@ class RemoteSpace:
             if pending.kind is not None:
                 return True
             self._reading = True
-        return self._lead(lambda: pending.kind is not None, deadline)
+        return self._lead(pending, deadline)
 
     def _serve_callbacks(self) -> None:
         """Callback reader: reads while callback legs are outstanding and no caller does."""
@@ -207,14 +211,17 @@ class RemoteSpace:
                 if self._closed:
                     return
                 self._reading = True
-            self._lead(lambda: not self._callback_legs, None)
+            self._lead(None, None)
 
-    def _lead(self, done, deadline: float | None) -> bool:
-        """Hold the reading role until done() holds; False when deadline passes first."""
-        self._reader.deadline = deadline
+    def _lead(self, pending: PendingReply | None, deadline: float | None) -> bool:
+        """Hold the reading role until `pending`'s reply is in, or, for the
+        callback reader (None), until no callback leg is outstanding.  False
+        when the deadline passes first."""
+        reader = self._reader
+        reader.deadline = deadline
         try:
-            while not done():
-                frame = wire.read_frame(self._reader)
+            while pending.kind is None if pending is not None else self._callback_legs:
+                frame = wire.read_frame(reader)
                 if frame is None:
                     return False
                 self._deliver(*frame)
@@ -228,14 +235,20 @@ class RemoteSpace:
             return True
         finally:
             with self._lock:
-                self._reading = False
-                release = self._closed
-                if self._followers:
-                    self._turn.notify_all()
-                if self._callback_legs:
-                    self._legs_due.notify()
+                release = self._step_down()
             if release:
                 self._sock.close()
+
+    def _step_down(self) -> bool:
+        """Give up the reading role and wake whoever may take it; the caller
+        holds _lock.  True when the caller is to close the socket, which
+        close() left open while this thread held the role."""
+        self._reading = False
+        if self._followers:
+            self._turn.notify_all()
+        if self._callback_legs:
+            self._legs_due.notify()
+        return self._closed
 
     def _deliver(self, msg_type: int, request_id: int, body: bytes) -> None:
         if msg_type == wire.MSG_REPLY_TUPLE:
@@ -276,14 +289,28 @@ class RemoteSpace:
 
     # -- requests -----------------------------------------------------------
 
-    def _submit(self, msg_type: int, body: bytes, on_done=None) -> PendingReply:
+    def _request(self, msg_type: int, body: bytes, on_done=None,
+                 lead: bool = False) -> tuple[PendingReply, bool]:
+        """Register a request and send it; returns it and whether the caller
+        now holds the reading role.
+
+        With `lead`, the caller takes the reading role in the same lock
+        acquisition that registers the request, when nobody holds it, and
+        then sends while holding it: replies to other requests wait in the
+        socket until the send is done.  If building or sending the frame
+        fails, the request is withdrawn, the role given back and any
+        followers woken; a failed send raises ConnectionLost.
+        """
         with self._lock:
             if self._lost is not None:
                 raise ConnectionLost(*self._lost.args)
             request_id = self._next_id
-            self._next_id += 1
+            self._next_id = request_id + 1
             pending = PendingReply(self, request_id, on_done)
             self._pending[request_id] = pending
+            leading = lead and not self._reading
+            if leading:
+                self._reading = True
             if on_done is not None:
                 self._callback_legs += 1
                 if self._callback_reader is None:
@@ -293,26 +320,36 @@ class RemoteSpace:
                     self._callback_reader.start()
                 else:
                     self._legs_due.notify()
-        frame = wire.build_frame(msg_type, request_id, body)
         try:
+            frame = wire.build_frame(msg_type, request_id, body)
             with self._send_lock:
                 self._sock.sendall(frame)
-        except OSError as e:
+        except BaseException as e:
             with self._lock:
                 if self._pending.pop(request_id, None) is not None and on_done is not None:
                     self._callback_legs -= 1
-            raise ConnectionLost(f"send to {self.address} failed: {e}") from None
-        return pending
+                release = leading and self._step_down()
+            if release:
+                self._sock.close()
+            if isinstance(e, OSError):
+                raise ConnectionLost(f"send to {self.address} failed: {e}") from None
+            raise
+        return pending, leading
 
-    def _resolve(self, pending: PendingReply):
-        self._await(pending, None)
+    def _call(self, msg_type: int, body: bytes):
+        """The one path of the synchronous operations: send the request, read
+        until its reply is in (following while another thread reads), and
+        return the reply's tuple, None or count, or raise its error."""
+        pending, leading = self._request(msg_type, body, lead=True)
+        if leading:
+            self._lead(pending, None)
+        else:
+            self._await(pending, None)
         kind = pending.kind
-        if kind == "tuple":
+        if kind == "tuple" or kind == "count":
             return pending.payload
         if kind == "none":
             return None
-        if kind == "count":
-            return pending.payload
         if kind == "lost":
             raise pending.payload
         code, msg = pending.payload
@@ -325,27 +362,25 @@ class RemoteSpace:
     # -- operations (contracts identical to LocalSpace) --------------------
 
     def out(self, tup: Tuple) -> None:
-        self._resolve(self._submit(wire.MSG_OUT, wire.encode_tuple(tup)))
+        self._call(wire.MSG_OUT, wire.encode_tuple(tup))
 
     def rdp(self, tpl: Template) -> Tuple | None:
-        return self._resolve(self._submit(wire.MSG_RDP, wire.encode_template(tpl)))
+        return self._call(wire.MSG_RDP, wire.encode_template(tpl))
 
     def inp(self, tpl: Template) -> Tuple | None:
-        return self._resolve(self._submit(wire.MSG_INP, wire.encode_template(tpl)))
+        return self._call(wire.MSG_INP, wire.encode_template(tpl))
 
     def count(self, tpl: Template) -> int:
-        return self._resolve(self._submit(wire.MSG_COUNT, wire.encode_template(tpl)))
+        return self._call(wire.MSG_COUNT, wire.encode_template(tpl))
 
     def rd(self, tpl: Template, timeout: float | None = None) -> Tuple:
-        ms = _timeout_to_ms(timeout)
-        got = self._resolve(self._submit(wire.MSG_RD, wire.pack_blocking(ms, tpl)))
+        got = self._call(wire.MSG_RD, wire.pack_blocking(_timeout_to_ms(timeout), tpl))
         if got is None:
             raise SpaceTimeout(f"no match within {timeout!r}s on {self.address}")
         return got
 
     def in_(self, tpl: Template, timeout: float | None = None) -> Tuple:
-        ms = _timeout_to_ms(timeout)
-        got = self._resolve(self._submit(wire.MSG_IN, wire.pack_blocking(ms, tpl)))
+        got = self._call(wire.MSG_IN, wire.pack_blocking(_timeout_to_ms(timeout), tpl))
         if got is None:
             raise SpaceTimeout(f"no match within {timeout!r}s on {self.address}")
         return got
@@ -358,8 +393,8 @@ class RemoteSpace:
         `on_done(pending)` runs exactly once, on whichever thread reads the
         reply, so it must be quick and must not raise.
         """
-        ms = _timeout_to_ms(timeout)
-        return self._submit(wire.MSG_RD, wire.pack_blocking(ms, tpl), on_done=on_done)
+        return self._request(wire.MSG_RD, wire.pack_blocking(_timeout_to_ms(timeout), tpl),
+                             on_done)[0]
 
     def cancel(self, pending: PendingReply) -> None:
         """Best-effort deregistration of a blocking request on the server.

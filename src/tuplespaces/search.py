@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import profiler
 from .errors import ConnectionLost, DeadlineExceeded
@@ -48,40 +49,45 @@ class PeerDirectory:
 
 
 class SuccessStats:
-    """Per-peer success factors; owned by one worker, updates serialized."""
+    """Per-peer success factors of one worker.
+
+    Only the worker that owns it reads and updates it, so it takes no lock.
+    Factors live in a list indexed by peer, grown on first use.
+    """
 
     def __init__(self, alpha: float = DEFAULT_ALPHA):
         if not (0.0 < alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         self.alpha = alpha
-        self._lock = threading.Lock()
-        self._factors: dict[int, float] = {}
+        self._factors: list[float] = []
 
     def factor(self, peer: int) -> float:
-        with self._lock:
-            return self._factors.get(peer, INITIAL_FACTOR)
+        factors = self._factors
+        return factors[peer] if peer < len(factors) else INITIAL_FACTOR
 
     def update(self, peer: int, hit: bool) -> float:
-        with self._lock:
-            s = self._factors.get(peer, INITIAL_FACTOR)
-            s = s + self.alpha * (1.0 - s) if hit else (1.0 - self.alpha) * s
-            self._factors[peer] = s
-            return s
+        factors = self._factors
+        if peer >= len(factors):
+            factors.extend([INITIAL_FACTOR] * (peer + 1 - len(factors)))
+        s = factors[peer]
+        s = s + self.alpha * (1.0 - s) if hit else (1.0 - self.alpha) * s
+        factors[peer] = s
+        return s
 
     def order(self, n_peers: int) -> list[int]:
-        """Peer indices by descending factor, ties by ascending index."""
-        with self._lock:
-            factors = [self._factors.get(i, INITIAL_FACTOR) for i in range(n_peers)]
-        return sorted(range(n_peers), key=lambda i: (-factors[i], i))
+        """Peer indices by descending factor, ties by ascending index (the
+        sort is stable, also in reverse)."""
+        factors = self._factors
+        if len(factors) < n_peers:
+            factors.extend([INITIAL_FACTOR] * (n_peers - len(factors)))
+        return sorted(range(n_peers), key=factors.__getitem__, reverse=True)
 
     def reset(self) -> None:
         """Back to the initial 0.5 everywhere (between benchmark repetitions)."""
-        with self._lock:
-            self._factors.clear()
+        self._factors.clear()
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     tuple: Tuple
     visited_nodes: int
     visited_nodes_first_round: int
@@ -89,54 +95,57 @@ class SearchOutcome:
     rounds: int
 
 
-def _probe(space, tpl: Template, destructive: bool, label: str):
-    t0 = time.perf_counter_ns()
-    got = space.inp(tpl) if destructive else space.rdp(tpl)
-    profiler.add_interval(label, time.perf_counter_ns() - t0)
-    return got
-
-
 def _poll_search(directory: PeerDirectory, tpl: Template, destructive: bool,
                  poll_interval: float, deadline: float | None,
                  stats: SuccessStats | None = None) -> SearchOutcome:
-    """Polling rounds; peers in directory order, or by descending factor with `stats`."""
-    n_peers = len(directory.peers)
-    start = time.perf_counter_ns()
+    """Polling rounds; peers in directory order, or by descending factor with `stats`.
+
+    Each probe is timed as its read label.  The first round's visits go to
+    the counter in one step when the round ends or a probe in it raises.
+    """
+    peers = directory.peers
+    n_peers = len(peers)
+    probe_local = directory.local.inp if destructive else directory.local.rdp
+    clock = time.perf_counter_ns
+    add_interval = profiler.add_interval
+    start = clock()
     visited = 0
     first_round = 0
     rounds = 0
-    while True:
-        rounds += 1
-        counting = rounds == 1
-        visited += 1
-        if counting:
-            first_round += 1
-            profiler.inc_counter(NODE_VISITED)
-        got = _probe(directory.local, tpl, destructive, READ_LOCAL)
-        if got is None:
-            for idx in range(n_peers) if stats is None else stats.order(n_peers):
-                visited += 1
-                if counting:
-                    first_round += 1
-                    profiler.inc_counter(NODE_VISITED)
-                got = _probe(directory.peers[idx], tpl, destructive, READ_REMOTE)
-                hit = got is not None
-                if stats is not None:
-                    stats.update(idx, hit)
-                if hit:
-                    break
-        if got is not None:
-            elapsed_ns = time.perf_counter_ns() - start
-            profiler.add_interval(SEARCH, elapsed_ns)
-            return SearchOutcome(got, visited, first_round, elapsed_ns / 1e9, rounds)
-        if deadline is None:
-            time.sleep(poll_interval)
-        else:
-            remaining = deadline - (time.perf_counter_ns() - start) / 1e9
-            if remaining <= 0:
-                raise DeadlineExceeded(
-                    f"no match within {deadline}s after {rounds} rounds")
-            time.sleep(min(poll_interval, remaining))
+    try:
+        while True:
+            rounds += 1
+            visited += 1
+            t0 = clock()
+            got = probe_local(tpl)
+            add_interval(READ_LOCAL, clock() - t0)
+            if got is None:
+                for idx in range(n_peers) if stats is None else stats.order(n_peers):
+                    visited += 1
+                    t0 = clock()
+                    peer = peers[idx]
+                    got = peer.inp(tpl) if destructive else peer.rdp(tpl)
+                    add_interval(READ_REMOTE, clock() - t0)
+                    if stats is not None:
+                        stats.update(idx, got is not None)
+                    if got is not None:
+                        break
+            if rounds == 1:
+                first_round = visited
+            if got is not None:
+                elapsed_ns = clock() - start
+                add_interval(SEARCH, elapsed_ns)
+                return SearchOutcome(got, visited, first_round, elapsed_ns / 1e9, rounds)
+            if deadline is None:
+                time.sleep(poll_interval)
+            else:
+                remaining = deadline - (clock() - start) / 1e9
+                if remaining <= 0:
+                    raise DeadlineExceeded(
+                        f"no match within {deadline}s after {rounds} rounds")
+                time.sleep(min(poll_interval, remaining))
+    finally:
+        profiler.inc_counter(NODE_VISITED, first_round or visited)
 
 
 def search_sequential(directory: PeerDirectory, tpl: Template, destructive: bool = False,

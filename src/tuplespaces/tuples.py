@@ -202,15 +202,21 @@ def _repr_field(code: int, x) -> str:
 
 class Tuple:
     """An immutable tuple of typed fields, arity >= 1, stored as ``tags``
-    and ``data``.  ``Tuple(fields)`` equals ``make_tuple(*fields)``."""
+    and ``data``.  ``Tuple(fields)`` equals ``make_tuple(*fields)``.
 
-    __slots__ = ("tags", "data")
+    ``body`` is the tuple's wire encoding when the tuple was decoded from a
+    whole ``bytes`` body (see wire.decode_tuple), else None; it takes no part
+    in equality or hashing.
+    """
+
+    __slots__ = ("tags", "data", "body")
 
     def __init__(self, fields: Iterable):
         fields = tuple(fields)
         if not fields:
             raise ValueError("tuple arity must be >= 1")
         self.tags, self.data = _layout(fields, False)
+        self.body = None
 
     @property
     def arity(self) -> int:

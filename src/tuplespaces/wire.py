@@ -17,7 +17,11 @@ unknown tags, truncation, oversized declared lengths, trailing bytes and
 invalid UTF-8 all raise MalformedFrame rather than ever mis-decoding.  The
 decoders read at offsets with `Struct.unpack_from`, straight from the body,
 be it bytes or a memoryview; there is no cursor object, and `_whole` checks
-that a body is used to its last byte.
+that a body is used to its last byte.  A tuple decoded from a whole `bytes`
+body keeps it, and `encode_tuple` returns it: a tuple that arrived by OUT is
+sent back to each probe that hits it without being encoded again.  A
+memoryview body (a frame received in place) is not kept.  The encoding is
+canonical, so the kept body equals what encoding would build.
 
 `read_frame` is the one way to read frames off a socket, for the server's
 connection threads and the client's readers alike.  It reads through a
@@ -139,6 +143,10 @@ def _encode(codes: tuple, data: tuple) -> bytes:
 
 
 def encode_tuple(tup: Tuple) -> bytes:
+    """The tuple's encoding: the body it was decoded from, when it kept one."""
+    body = tup.body
+    if body is not None:
+        return body
     return _encode(tup.tags, tup.data)
 
 
@@ -215,7 +223,12 @@ def _tuple_at(buf, pos: int) -> tuple[Tuple, int]:
 
 
 def decode_tuple(data: bytes | memoryview) -> Tuple:
-    return _whole(_tuple_at, data)
+    """The tuple encoded in ``data``, which keeps ``data`` as its ``body``
+    when it is ``bytes``: encode_tuple then returns it as it is.  A
+    memoryview (a frame received in place) is not kept."""
+    tup = _whole(_tuple_at, data)
+    tup.body = data if type(data) is bytes else None
+    return tup
 
 
 def _template_at(buf, pos: int) -> tuple[Template, int]:

@@ -1,5 +1,7 @@
 """Profiler: intervals, counters, dumps, aggregation math."""
 
+import csv
+import io
 import os
 import random
 import statistics
@@ -182,6 +184,79 @@ def test_dump_bytes_are_unchanged(tmp_path):
     path = tmp_path / "g.csv"
     c.dump(path)
     assert path.read_text() == GOLDEN_DUMP
+
+
+_AWKWARD = ("plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " padded ",
+            '",\n', "\u00e9\u2603")
+
+
+def _csv_bytes(rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(DUMP_HEADER)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("process", ["proc-a", *_AWKWARD[1:]])
+def test_dump_writes_what_csv_writer_writes(tmp_path, process):
+    """Process, thread and label text that needs quoting is quoted as csv
+    quotes it; the rows are those of the records, in the documented order."""
+    c = Collector()
+    c.set_process(process)  # the constructor would replace an empty name
+    expected = []
+    for t, name in enumerate(_AWKWARD):
+        def body(t=t):
+            for i, label in enumerate(_AWKWARD):
+                c.add_interval(label, 1000 * t + i)
+            c.inc_counter(_AWKWARD[-1 - t], 3)
+            c.inc_counter("k")
+
+        th = threading.Thread(target=body)
+        th.name = name  # the constructor would replace an empty name
+        th.start()
+        th.join(5)
+        assert not th.is_alive()
+        rows = [(label, KIND_INTERVAL, 1000 * t + i) for i, label in enumerate(_AWKWARD)]
+        counters = {_AWKWARD[-1 - t]: 3, "k": 1}
+        rows += [(label, KIND_COUNTER, counters[label]) for label in sorted(counters)]
+        expected += [row + (process, name, seq) for seq, row in enumerate(rows)]
+    path = tmp_path / "d.csv"
+    c.dump(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.read() == _csv_bytes(expected)
+
+
+def test_seq_numbers_each_threads_rows_across_dumps_with_counters(tmp_path):
+    c = Collector("p")
+    rounds = threading.Event(), threading.Event()
+    dumped = threading.Event(), threading.Event()
+
+    def body():
+        for go, done in zip(rounds, dumped):
+            assert go.wait(5)
+            for i in range(3):
+                c.add_interval("a", i)
+                c.inc_counter("n")
+            c.inc_counter("m", 2)
+            done.set()
+
+    threads = [threading.Thread(target=body, name=f"t{k}") for k in range(2)]
+    for th in threads:
+        th.start()
+    paths = []
+    for k, go in enumerate(rounds):
+        go.set()
+        assert dumped[k].wait(5)
+        time.sleep(0.01)  # both threads are done with this round
+        paths.append(tmp_path / f"{k}.csv")
+        c.dump(paths[-1])
+    for th in threads:
+        th.join(5)
+    records = [r for p in paths for r in parse_dump(p)]
+    for name in ("t0", "t1"):
+        seqs = [r.seq for r in records if r.thread == name]
+        assert seqs == list(range(10))  # 3 intervals and 2 counters per dump
 
 
 def test_recording_builds_no_metric_record(tmp_path, monkeypatch):

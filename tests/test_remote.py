@@ -15,6 +15,7 @@ from tuplespaces import (
     ConnectionLost,
     LocalSpace,
     NodeAddress,
+    PayloadTooLarge,
     RemoteOpError,
     RemoteSpace,
     SpaceServer,
@@ -237,6 +238,41 @@ def test_malformed_request_gets_error_reply():
             sock.close()
 
 
+def test_a_tuple_sent_by_out_is_read_back_as_the_bytes_sent(monkeypatch):
+    """The server stores the decoded OUT body with the tuple and replies to
+    a probe with it, encoding nothing."""
+    body = wire.encode_tuple(make_tuple("kept", 7, float("nan"), "\u00e9", b"\x00",
+                                        [0.5, -0.0]))
+    with served_space() as (space, srv):
+        sock = socket.create_connection(("127.0.0.1", srv.port))
+        try:
+            sock.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("raw")))
+            f = wire.FrameReader(sock)
+            assert wire.read_frame(f)[0] == wire.MSG_HELLO
+            sock.sendall(wire.build_frame(wire.MSG_OUT, 1, body))
+            assert wire.read_frame(f)[:2] == (wire.MSG_REPLY_NONE, 1)
+            probe = wire.encode_template(template("kept", ANY, ANY, ANY, ANY, ANY))
+            encoded = []
+            encode = wire._encode
+            monkeypatch.setattr(wire, "_encode", lambda *a: encoded.append(a) or encode(*a))
+            for request_id in (2, 3):
+                sock.sendall(wire.build_frame(wire.MSG_RDP, request_id, probe))
+                assert wire.read_frame(f) == (wire.MSG_REPLY_TUPLE, request_id, body)
+            assert encoded == []
+        finally:
+            sock.close()
+        assert space.rdp(template("kept", ANY, ANY, ANY, ANY, ANY)).body == body
+
+
+def test_a_large_tuple_received_in_place_keeps_no_body():
+    large = make_tuple("big", b"\x5a" * (4 * wire.RECV_SIZE))
+    with served_space() as (space, srv), connected(srv) as cl:
+        cl.out(large)
+        stored = space.rdp(template("big", ANY))
+        assert stored == large and stored.body is None
+        assert cl.rdp(template("big", ANY)) == large
+
+
 def test_unsupported_message_type():
     with served_space() as (_, srv):
         sock = socket.create_connection(("127.0.0.1", srv.port))
@@ -436,6 +472,73 @@ def test_threads_sharing_a_handle_each_get_their_own_reply():
             assert space.size() == 1
     finally:
         sys.setswitchinterval(switch)
+
+
+class _FailingSends:
+    """A client socket whose sendall blocks until released, then raises
+    OSError; everything else goes to the real socket."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def sendall(self, data):
+        self.entered.set()
+        assert self.release.wait(5)
+        raise OSError("send failed on purpose")
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_a_failed_send_gives_the_reading_role_back():
+    """The caller whose send fails holds the reading role: it gets
+    ConnectionLost, and the thread waiting on the same handle takes the role
+    and gets its reply."""
+    with served_space() as (space, srv), connected(srv) as cl:
+        leg = cl.rd_async(template("waited"), timeout=None)
+        real = cl._sock
+        failing = cl._sock = _FailingSends(real)
+        errors = []
+
+        def caller():
+            try:
+                cl.rdp(template("x"))
+            except ConnectionLost as e:
+                errors.append(e)
+
+        sender = threading.Thread(target=caller)
+        sender.start()
+        try:
+            assert failing.entered.wait(5)  # the caller holds the role and sends
+            waited = []
+            waiter = threading.Thread(target=lambda: waited.append(leg.wait(10)))
+            waiter.start()
+            deadline = time.monotonic() + 5
+            while cl._followers != 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert cl._followers == 1
+        finally:
+            failing.release.set()
+            sender.join(5)
+            cl._sock = real
+        assert not sender.is_alive() and len(errors) == 1
+        space.out(make_tuple("waited"))
+        waiter.join(5)
+        assert not waiter.is_alive()
+        assert waited == [True] and leg.kind == "tuple"
+        assert cl.rdp(template("waited")) == make_tuple("waited")
+
+
+def test_an_oversized_request_leaves_the_handle_usable(monkeypatch):
+    with served_space() as (_, srv), connected(srv) as cl:
+        monkeypatch.setattr(wire, "MAX_FRAME", 64)
+        with pytest.raises(PayloadTooLarge):
+            cl.out(make_tuple(b"\x00" * 64))
+        monkeypatch.undo()
+        assert cl.rdp(template("x")) is None
+        assert not cl._reading and not cl._pending
 
 
 def test_follower_reads_on_after_the_leader_steps_down():

@@ -289,3 +289,45 @@ def test_completeness_notify(location):
             out = search_notify(PeerDirectory(local, [r0, r1]),
                                 template("bcast", ANY), deadline=5)
             assert out.tuple == target
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=6), st.booleans()), max_size=40),
+       st.integers(min_value=0, max_value=8))
+def test_order_is_descending_factor_then_ascending_index(updates, n_peers):
+    stats = SuccessStats()
+    for peer, hit in updates:
+        stats.update(peer, hit)
+    factors = [stats.factor(i) for i in range(n_peers)]
+    assert stats.order(n_peers) == sorted(range(n_peers), key=lambda i: (-factors[i], i))
+
+
+def test_search_outcome_keeps_its_field_names():
+    d = _directory(1)
+    d.local.out(make_tuple("named"))
+    out = search_sequential(d, template("named"))
+    assert out._fields == ("tuple", "visited_nodes", "visited_nodes_first_round",
+                           "elapsed", "rounds")
+    assert (out.visited_nodes, out.rounds) == (1, 1)
+
+
+def test_only_the_first_round_is_counted_when_a_later_round_fails():
+    """Round one misses everywhere; round two's peer probe raises."""
+    counter = [0]
+
+    class FailsInRoundTwo(ScriptedSpace):
+        def rdp(self, tpl):
+            if counter[0] >= 2:
+                raise ConnectionLost("peer gone")
+            return self._probe()
+
+    d = PeerDirectory(ScriptedSpace(counter), [FailsInRoundTwo(counter)])
+    before = profiler.counter_total(NODE_VISITED)
+    with pytest.raises(ConnectionLost):
+        search_sequential(d, template("x"), poll_interval=0.0001)
+    assert counter[0] == 3
+    assert profiler.counter_total(NODE_VISITED) - before == 2
+    before = profiler.counter_total(NODE_VISITED)
+    with pytest.raises(DeadlineExceeded):
+        search_sequential(_directory(2), template("never"), poll_interval=0.001,
+                          deadline=0.02)
+    assert profiler.counter_total(NODE_VISITED) - before == 3

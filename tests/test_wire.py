@@ -190,6 +190,26 @@ def test_pinned_corpus_encodes_to_the_pinned_digest_and_decodes_back():
         assert wire.unpack_blocking(enc) == (timeout_ms, tpl)
     assert digest.hexdigest() == _PINNED_DIGEST
 
+def test_a_tuple_decoded_from_bytes_encodes_to_those_bytes():
+    tuples, _, _ = _pinned_corpus()
+    for tup in tuples:
+        enc = wire.encode_tuple(tup)
+        decoded = wire.decode_tuple(enc)
+        assert decoded.body is enc
+        assert wire.encode_tuple(decoded) is enc
+        fresh = Tuple(decoded.data)
+        assert fresh == decoded and fresh.body is None
+        assert wire.encode_tuple(fresh) == enc
+
+
+def test_a_tuple_decoded_from_a_memoryview_keeps_nothing():
+    enc = wire.encode_tuple(make_tuple("piece", int_array(range(1000))))
+    for body in (memoryview(enc), memoryview(bytearray(enc))):
+        decoded = wire.decode_tuple(body)
+        assert decoded.body is None
+        assert wire.encode_tuple(decoded) == enc
+
+
 def test_template_wildcard_tags():
     enc = wire.encode_template(template(ANY))
     assert enc == b"\x01\x00\x00\x00\x10"
