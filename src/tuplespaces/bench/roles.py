@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .. import profiler
-from ..client import NodeAddress, RemoteSpace
+from ..client import RemoteSpace
 from ..errors import DeadlineExceeded, SpaceTimeout
 from ..labels import READ_LOCAL, READ_REMOTE, TOTAL_RUNTIME, WRITE_LOCAL, WRITE_REMOTE
 from ..search import (
@@ -46,10 +46,8 @@ from .config import (
 class RoleHandles:
     cfg: BenchConfig
     role_name: str
-    rep_index: int
     rep_seed: int
     run_key: str
-    addresses: list[NodeAddress]
     local: LocalSpace
     deadline_at: float  # monotonic timestamp
     worker_id: int | None = None  # None for the master
@@ -68,15 +66,6 @@ class RoleHandles:
 
     def _deadline_exceeded(self) -> DeadlineExceeded:
         return DeadlineExceeded(f"{self.role_name}: repetition deadline exceeded")
-
-    def _wait(self, op, tpl: Template) -> Tuple:
-        """op(tpl, timeout=...) capped by the rep deadline.  A deadline that
-        passes during the wait raises DeadlineExceeded, as one that passed
-        before the call does."""
-        try:
-            return op(tpl, timeout=self.remaining())
-        except SpaceTimeout:
-            raise self._deadline_exceeded() from None
 
     def alloc_run_id(self) -> int:
         self._run_seq += 1
@@ -104,24 +93,26 @@ class RoleHandles:
         remote.out(tup)
         profiler.add_interval(WRITE_REMOTE, time.perf_counter_ns() - t0)
 
-    def take_local(self, tpl: Template) -> Tuple:
-        """Blocking take from the own space, capped by the rep deadline."""
+    def _timed_wait(self, label: str, op, tpl: Template) -> Tuple:
+        """op(tpl, timeout=...) capped by the rep deadline and timed under
+        label.  A deadline that passes during the wait raises
+        DeadlineExceeded, as one that passed before the call does."""
         t0 = time.perf_counter_ns()
-        got = self._wait(self.local.in_, tpl)
-        profiler.add_interval(READ_LOCAL, time.perf_counter_ns() - t0)
+        try:
+            got = op(tpl, timeout=self.remaining())
+        except SpaceTimeout:
+            raise self._deadline_exceeded() from None
+        profiler.add_interval(label, time.perf_counter_ns() - t0)
         return got
+
+    def take_local(self, tpl: Template) -> Tuple:
+        return self._timed_wait(READ_LOCAL, self.local.in_, tpl)
 
     def take_remote(self, remote: RemoteSpace, tpl: Template) -> Tuple:
-        t0 = time.perf_counter_ns()
-        got = self._wait(remote.in_, tpl)
-        profiler.add_interval(READ_REMOTE, time.perf_counter_ns() - t0)
-        return got
+        return self._timed_wait(READ_REMOTE, remote.in_, tpl)
 
     def rd_remote(self, remote: RemoteSpace, tpl: Template) -> Tuple:
-        t0 = time.perf_counter_ns()
-        got = self._wait(remote.rd, tpl)
-        profiler.add_interval(READ_REMOTE, time.perf_counter_ns() - t0)
-        return got
+        return self._timed_wait(READ_REMOTE, remote.rd, tpl)
 
     # -- strategy dispatch ---------------------------------------------------
 
@@ -142,20 +133,12 @@ class RoleHandles:
 
 # -- handshake protocol ----------------------------------------------------------
 
-def _ready_tuple() -> Tuple:
-    return make_tuple(SEARCH_GROUP, WORKER_FIELD, READY_STATUS)
-
-
-def _loaded_tuple() -> Tuple:
-    return make_tuple(SEARCH_GROUP, WORKER_FIELD, LOADED_STATUS)
-
-
 def worker_ready(h: RoleHandles) -> None:
-    h.out_remote(h.master, _ready_tuple())
+    h.out_remote(h.master, make_tuple(SEARCH_GROUP, WORKER_FIELD, READY_STATUS))
 
 
 def worker_loaded(h: RoleHandles) -> None:
-    h.out_remote(h.master, _loaded_tuple())
+    h.out_remote(h.master, make_tuple(SEARCH_GROUP, WORKER_FIELD, LOADED_STATUS))
 
 
 def worker_read_key(h: RoleHandles) -> str:

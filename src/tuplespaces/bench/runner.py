@@ -18,6 +18,12 @@ Three topologies:
 * hosts   -- addresses come from a hosts file (master first); this process
   runs the master and the workers are started elsewhere with `run-role`.
 
+Roles are known by position: role 0 is the master, role k + 1 is worker k.
+Every topology runs role i through one function, `_connect_and_run`, which
+connects it to every other role (the master first, then the workers by
+index) and runs its part of the case.  Procs and hosts roles name their dump
+files by position too (`role_dump_path`).
+
 One repetition = fresh spaces, fresh connections, fresh profiler state.  The
 rep seed is seed + rep_index, so repetitions have fresh inputs that remain
 reproducible.  Every rep writes its dump file(s) and the whole run writes a
@@ -26,6 +32,7 @@ key=value manifest used by `aggregate` and `compare`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import socket
@@ -56,20 +63,24 @@ CASE_MODULES = {
 JOIN_GRACE = 10.0  # seconds past the rep deadline before giving up on roles
 PROC_CONNECT_ATTEMPTS = 25  # procs start unordered; 25 x 200 ms window
 
-_run_counter = 0
-_run_counter_lock = threading.Lock()
+_run_numbers = itertools.count(1)
 
 
 def new_run_key(seed: int) -> str:
-    global _run_counter
-    with _run_counter_lock:
-        _run_counter += 1
-        n = _run_counter
-    return f"{time.strftime('%Y%m%d%H%M%S')}-s{seed}-p{os.getpid()}-{n}"
+    return f"{time.strftime('%Y%m%d%H%M%S')}-s{seed}-p{os.getpid()}-{next(_run_numbers)}"
+
+
+def role_name(i: int) -> str:
+    """Role i is the master for i == 0 and worker i - 1 otherwise."""
+    return "master" if i == 0 else f"worker{i - 1}"
+
+
+def role_dump_path(out_dir, run_key: str, rep_index: int, i: int) -> str:
+    return os.path.join(out_dir, f"{run_key}_rep{rep_index}_{role_name(i)}.csv")
 
 
 def role_names(workers: int) -> list[str]:
-    return ["master"] + [f"worker{k}" for k in range(workers)]
+    return [role_name(i) for i in range(workers + 1)]
 
 
 def find_free_base_port(count: int, start: int = 20011, end: int = 60000) -> int:
@@ -126,30 +137,36 @@ def node_visited_from_dumps(paths) -> int:
     return total
 
 
-# -- threads topology -----------------------------------------------------------
+# -- one role, any topology ------------------------------------------------------
 
-def _worker_handles(cfg, k, rep_index, rep_seed, run_key, addresses, space, deadline_at,
-                    attempts) -> RoleHandles:
-    name = f"worker{k}"
-    h = RoleHandles(cfg, name, rep_index, rep_seed, run_key, addresses, space, deadline_at,
-                    worker_id=k)
-    h.master = RemoteSpace.connect(addresses[0], name, attempts=attempts)
-    for j in range(cfg.workers):
-        if j != k:
-            h.worker_remotes[j] = RemoteSpace.connect(addresses[j + 1], name, attempts=attempts)
-    peers = [h.worker_remotes[j] for j in sorted(h.worker_remotes)]
-    h.directory = PeerDirectory(h.local, peers)
+def _handles(cfg: BenchConfig, i: int, rep_index: int, run_key: str, space: LocalSpace,
+             deadline_at: float) -> RoleHandles:
+    """Role i's handles, connected to nobody yet."""
+    return RoleHandles(cfg, role_name(i), (cfg.seed + rep_index) & ((1 << 64) - 1), run_key,
+                       space, deadline_at, worker_id=i - 1 if i else None)
+
+
+def _connect_and_run(h: RoleHandles, i: int, addresses, attempts: int):
+    """Connect role i to every other role, master first, then run its part of
+    the case; returns what the master returns.  Each connection joins h as it
+    opens, so the caller's h.close_remotes() also closes those of a role whose
+    later connect failed."""
+    for j, addr in enumerate(addresses):
+        if j != i:
+            remote = RemoteSpace.connect(addr, h.role_name, attempts=attempts)
+            if j == 0:
+                h.master = remote
+            else:
+                h.worker_remotes[j - 1] = remote
+    case = CASE_MODULES[h.cfg.case]  # run_master/run_worker read at call time: tests patch them
+    if i == 0:
+        return case.run_master(h)
+    h.directory = PeerDirectory(h.local, list(h.worker_remotes.values()))
     h.stats = SuccessStats()
-    return h
+    return case.run_worker(h)
 
 
-def _master_handles(cfg, rep_index, rep_seed, run_key, addresses, space, deadline_at,
-                    attempts) -> RoleHandles:
-    h = RoleHandles(cfg, "master", rep_index, rep_seed, run_key, addresses, space, deadline_at)
-    for k in range(cfg.workers):
-        h.worker_remotes[k] = RemoteSpace.connect(addresses[k + 1], "master", attempts=attempts)
-    return h
-
+# -- threads topology -----------------------------------------------------------
 
 def run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) -> CaseResult:
     if not hasattr(os, "sched_setaffinity"):
@@ -164,7 +181,6 @@ def run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) -
 
 
 def _run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) -> CaseResult:
-    rep_seed = (cfg.seed + rep_index) & ((1 << 64) - 1)
     names = role_names(cfg.workers)
     started = time.monotonic()
     deadline_at = started + cfg.deadline
@@ -183,37 +199,20 @@ def _run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) 
         raise
     addresses = [NodeAddress("127.0.0.1", srv.port, names[i]) for i, srv in enumerate(servers)]
 
-    case = CASE_MODULES[cfg.case]
     outcome: dict = {}
     failures: dict[str, BaseException] = {}
 
-    def master_body():
-        h = None
+    def body(i: int):
+        h = _handles(cfg, i, rep_index, run_key, spaces[i], deadline_at)
         try:
-            h = _master_handles(cfg, rep_index, rep_seed, run_key, addresses, spaces[0],
-                                deadline_at, attempts=5)
-            outcome["result"] = case.run_master(h)
+            outcome[i] = _connect_and_run(h, i, addresses, attempts=5)
         except BaseException as e:  # deliberate: any role failure fails the rep
-            failures["master"] = e
+            failures[names[i]] = e
         finally:
-            if h is not None:
-                h.close_remotes()
+            h.close_remotes()
 
-    def worker_body(k: int):
-        h = None
-        try:
-            h = _worker_handles(cfg, k, rep_index, rep_seed, run_key, addresses,
-                                spaces[k + 1], deadline_at, attempts=5)
-            case.run_worker(h)
-        except BaseException as e:
-            failures[f"worker{k}"] = e
-        finally:
-            if h is not None:
-                h.close_remotes()
-
-    threads = [threading.Thread(target=master_body, name="master", daemon=True)]
-    threads += [threading.Thread(target=worker_body, args=(k,), name=f"worker{k}", daemon=True)
-                for k in range(cfg.workers)]
+    threads = [threading.Thread(target=body, args=(i,), name=name, daemon=True)
+               for i, name in enumerate(names)]
     for t in threads:
         t.start()
     stuck = False
@@ -233,7 +232,7 @@ def _run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) 
     profiler.dump(dump_path)
     elapsed = time.monotonic() - started
 
-    result = outcome.get("result")
+    result = outcome.get(0)
     if stuck:
         result = CaseResult(correct=False, error="repetition deadline exceeded (roles stuck)")
     elif failures:
@@ -249,51 +248,41 @@ def _run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) 
 
 # -- single-role execution (procs children, hosts master) -------------------------
 
-def run_role_inline(cfg: BenchConfig, role: str, index: int, addresses, rep_index: int,
-                    run_key: str, dump_path, connect_attempts: int = PROC_CONNECT_ATTEMPTS):
-    """Run one role to completion in this process; returns the master's result.
+def run_role_inline(cfg: BenchConfig, i: int, addresses, rep_index: int, run_key: str,
+                    out_dir, connect_attempts: int = PROC_CONNECT_ATTEMPTS):
+    """Run role i to completion in this process and dump its records to
+    role_dump_path(); returns the master's result.
 
     Used by the `run-role` subcommand (procs children, remote hosts) and by
     hosts mode for the local master.
     """
-    rep_seed = (cfg.seed + rep_index) & ((1 << 64) - 1)
-    name = role if role == "master" else f"worker{index}"
+    name = role_name(i)
     threading.current_thread().name = name
     profiler.reset()
     profiler.set_process(name)
     deadline_at = time.monotonic() + cfg.deadline
 
-    my_addr = addresses[0] if role == "master" else addresses[index + 1]
     space = LocalSpace(name)
-    server = SpaceServer(space, my_addr.host, my_addr.port, name).start()
-    case = CASE_MODULES[cfg.case]
-    result = None
-    h = None
+    server = SpaceServer(space, addresses[i].host, addresses[i].port, name).start()
+    h = _handles(cfg, i, rep_index, run_key, space, deadline_at)
     try:
-        if role == "master":
-            h = _master_handles(cfg, rep_index, rep_seed, run_key, addresses, space,
-                                deadline_at, attempts=connect_attempts)
-            result = case.run_master(h)
-            for k in range(cfg.workers):
+        result = _connect_and_run(h, i, addresses, connect_attempts)
+        if i == 0:
+            for remote in h.worker_remotes.values():
                 try:
-                    h.worker_remotes[k].out(make_tuple(SHUTDOWN_NAME))
+                    remote.out(make_tuple(SHUTDOWN_NAME))
                 except TupleSpaceError:
                     pass  # a dead worker cannot be told to stop
         else:
-            h = _worker_handles(cfg, index, rep_index, rep_seed, run_key, addresses, space,
-                                deadline_at, attempts=connect_attempts)
-            case.run_worker(h)
             space.in_(template(SHUTDOWN_NAME), timeout=max(deadline_at - time.monotonic(), 0.1))
     finally:
-        if h is not None:
-            h.close_remotes()
-        profiler.dump(dump_path)
+        h.close_remotes()
+        profiler.dump(role_dump_path(out_dir, run_key, rep_index, i))
         server.stop()
     return result
 
 
 def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> CaseResult:
-    names = role_names(cfg.workers)
     addresses = planned_addresses(cfg)
     check_ports_free(addresses)
     started = time.monotonic()
@@ -305,26 +294,22 @@ def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
     pkg_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
 
-    def spawn(role: str, index: int) -> subprocess.Popen:
+    def spawn(i: int) -> subprocess.Popen:
+        role, index = ("master", 0) if i == 0 else ("worker", i - 1)
         argv = [sys.executable, "-m", "tuplespaces", "run-role",
                 "--config", config_path, "--role", role, "--index", str(index)]
         return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.PIPE)
 
-    procs = {"master": spawn("master", 0)}
-    for k in range(cfg.workers):
-        procs[f"worker{k}"] = spawn("worker", k)
+    procs = [spawn(i) for i in range(cfg.workers + 1)]
 
     deadline_at = started + cfg.deadline + JOIN_GRACE
     error = None
-    while True:
-        master_rc = procs["master"].poll()
-        if master_rc is not None:
-            break
-        for name, p in procs.items():
+    while procs[0].poll() is None:
+        for i, p in enumerate(procs[1:], 1):
             rc = p.poll()
-            if name != "master" and rc is not None and rc != 0:
-                error = f"{name} exited with code {rc}"
+            if rc is not None and rc != 0:
+                error = f"{role_name(i)} exited with code {rc}"
                 break
         if error or time.monotonic() > deadline_at:
             error = error or "repetition deadline exceeded"
@@ -332,18 +317,18 @@ def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
         time.sleep(0.05)
 
     if error:
-        for p in procs.values():
+        for p in procs:
             if p.poll() is None:
                 p.terminate()
-    for name, p in procs.items():
+    for p in procs:
         try:
             p.wait(timeout=15.0)
         except subprocess.TimeoutExpired:
             p.kill()
             p.wait()
 
-    dump_paths = [os.path.join(out_dir, f"{run_key}_rep{rep_index}_{n}.csv")
-                  for n in names if os.path.exists(os.path.join(out_dir, f"{run_key}_rep{rep_index}_{n}.csv"))]
+    dump_paths = [path for path in (role_dump_path(out_dir, run_key, rep_index, i)
+                                    for i in range(len(procs))) if os.path.exists(path)]
     result = CaseResult(correct=False, error=error)
     if error is None and os.path.exists(result_path):
         with open(result_path, encoding="utf-8") as fh:
@@ -351,9 +336,9 @@ def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
         result = CaseResult(correct=data["correct"], digest=data["digest"],
                             detail=data["detail"], error=data.get("error"))
     elif error is None:
-        stderr = procs["master"].stderr.read().decode("utf-8", "replace") if procs["master"].stderr else ""
+        stderr = procs[0].stderr.read().decode("utf-8", "replace") if procs[0].stderr else ""
         result = CaseResult(correct=False, error=f"master wrote no result: {stderr[-500:]}")
-    for p in procs.values():
+    for p in procs:
         if p.stderr is not None:
             p.stderr.close()
     result.elapsed = time.monotonic() - started
@@ -385,8 +370,8 @@ def run_rep_hosts(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
     addresses = planned_addresses(cfg)
     started = time.monotonic()
     write_role_config(cfg, addresses, rep_index, run_key, out_dir)
-    dump_path = os.path.join(out_dir, f"{run_key}_rep{rep_index}_master.csv")
-    result = run_role_inline(cfg, "master", 0, addresses, rep_index, run_key, dump_path)
+    result = run_role_inline(cfg, 0, addresses, rep_index, run_key, out_dir)
+    dump_path = role_dump_path(out_dir, run_key, rep_index, 0)
     result.elapsed = time.monotonic() - started
     result.dump_paths = [dump_path]
     result.node_visited_total = node_visited_from_dumps([dump_path])

@@ -24,6 +24,7 @@ from .bench.config import (
 from .bench.runner import (
     parse_hosts_file,
     parse_manifest,
+    role_name,
     run_benchmark,
     run_role_inline,
 )
@@ -134,18 +135,15 @@ def cmd_run_role(args) -> int:
     cfg = BenchConfig(**payload["config"])
     from .client import NodeAddress
     addresses = [NodeAddress(a["host"], a["port"], a["name"]) for a in payload["addresses"]]
-    rep_index = payload["rep_index"]
-    run_key = payload["run_key"]
-    name = "master" if args.role == "master" else f"worker{args.index}"
-    dump_path = os.path.join(payload["out_dir"], f"{run_key}_rep{rep_index}_{name}.csv")
+    i = 0 if args.role == "master" else args.index + 1
     try:
-        result = run_role_inline(cfg, args.role, args.index, addresses, rep_index,
-                                 run_key, dump_path)
+        result = run_role_inline(cfg, i, addresses, payload["rep_index"], payload["run_key"],
+                                 payload["out_dir"])
     except Exception as e:
         traceback.print_exc()
-        print(f"role {name} failed: {e}", file=sys.stderr)
+        print(f"role {role_name(i)} failed: {e}", file=sys.stderr)
         return EXIT_INFRA
-    if args.role == "master":
+    if i == 0:
         with open(payload["result_path"], "w", encoding="utf-8") as fh:
             json.dump({"correct": result.correct, "digest": result.digest,
                        "detail": result.detail, "error": result.error}, fh)

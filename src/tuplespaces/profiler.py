@@ -89,12 +89,14 @@ class _ThreadState:
 
 class _CsvFields(dict):
     """Text -> the text as one field of a row that csv.writer writes, quoted
-    where it has to be; csv works each one out once."""
+    where it has to be; csv works each one out once.  The writer it asks
+    ends rows with CR LF, so it also quotes a field that holds a carriage
+    return, which csv.reader would otherwise take for the end of the row."""
 
     def __missing__(self, text: str) -> str:
         out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerow((text, ""))
-        field = self[text] = out.getvalue()[:-2]  # less the "," and the "\n"
+        csv.writer(out, lineterminator="\r\n").writerow((text, ""))
+        field = self[text] = out.getvalue()[:-3]  # less the "," and the "\r\n"
         return field
 
 
@@ -173,8 +175,9 @@ class Collector:
         thread's rows across dumps.  The thread's name is read at dump time.
         Records emitted after the dump starts land in the next dump.  The
         bytes are those csv.writer(lineterminator="\n") writes for the same
-        rows, written _ROWS_PER_WRITE rows at a time, never joined into one
-        string.
+        rows, except that a field holding a carriage return is quoted, so
+        parse_dump reads every dump back.  They are written _ROWS_PER_WRITE
+        rows at a time, never joined into one string.
         """
         with self._lock:
             states = list(self._states)

@@ -82,10 +82,6 @@ class SuccessStats:
             factors.extend([INITIAL_FACTOR] * (n_peers - len(factors)))
         return sorted(range(n_peers), key=factors.__getitem__, reverse=True)
 
-    def reset(self) -> None:
-        """Back to the initial 0.5 everywhere (between benchmark repetitions)."""
-        self._factors.clear()
-
 
 class SearchOutcome(NamedTuple):
     tuple: Tuple

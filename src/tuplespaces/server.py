@@ -30,7 +30,7 @@ from .store import LocalSpace, Waiter
 
 
 class _Connection:
-    __slots__ = ("sock", "reader", "write_lock", "waiters", "wlock", "peer_name")
+    __slots__ = ("sock", "reader", "write_lock", "waiters", "wlock")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -40,7 +40,6 @@ class _Connection:
         # until registered, the deadline (time.monotonic()) None when untimed
         self.waiters: dict[int, list] = {}
         self.wlock = threading.Lock()
-        self.peer_name = "?"
 
     def send(self, frame: bytes) -> bool:
         try:
@@ -169,13 +168,12 @@ class SpaceServer:
             conn.send(wire.build_frame(wire.MSG_REPLY_ERR, request_id,
                                        wire.pack_err(wire.ERR_UNSUPPORTED, "expected HELLO")))
             return False
-        version, peer_name = wire.unpack_hello(body)
+        version, _peer_name = wire.unpack_hello(body)
         if version != wire.PROTOCOL_VERSION:
             conn.send(wire.build_frame(
                 wire.MSG_REPLY_ERR, request_id,
                 wire.pack_err(wire.ERR_UNSUPPORTED, f"unsupported protocol version {version}")))
             return False
-        conn.peer_name = peer_name
         return conn.send(wire.build_frame(wire.MSG_HELLO, request_id, wire.pack_hello(self.name)))
 
     # -- dispatch -----------------------------------------------------------

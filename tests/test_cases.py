@@ -10,6 +10,8 @@ from tuplespaces import (
     ConnectionLost,
     DeadlineExceeded,
     LocalSpace,
+    RemoteSpace,
+    Unreachable,
     make_tuple,
     profiler,
     template,
@@ -356,8 +358,8 @@ class _Unreachable:
 
 
 def test_timed_operations_record_only_what_completed(tmp_path):
-    h = RoleHandles(BenchConfig(case="password", workers=1, size=1), "worker0", 0, 0, "k",
-                    [], LocalSpace("own"), deadline_at=time.monotonic() + 30)
+    h = RoleHandles(BenchConfig(case="password", workers=1, size=1), "worker0", 0, "k",
+                    LocalSpace("own"), deadline_at=time.monotonic() + 30)
     profiler.reset()
     with pytest.raises(ConnectionLost):
         h.out_remote(_Unreachable(), make_tuple("x"))
@@ -373,6 +375,35 @@ def test_timed_operations_record_only_what_completed(tmp_path):
     path = tmp_path / "d.csv"
     profiler.dump(path)
     assert [rec.label for rec in profiler.parse_dump(path)] == [WRITE_LOCAL, READ_LOCAL]
+
+
+def test_failed_connect_closes_the_connections_already_open(tmp_path, monkeypatch):
+    """A role whose second connect fails fails the rep with that error, and
+    the connection it opened first is closed with every other one."""
+    connect, close = RemoteSpace.connect, RemoteSpace.close
+    opened, closed = [], []
+    calls = Counter()
+
+    def flaky_connect(cls, address, client_name="client", **kwargs):
+        calls[client_name] += 1
+        if client_name == "worker0" and calls[client_name] == 2:
+            raise Unreachable(f"cannot reach {address.name} (injected)")
+        remote = connect(address, client_name, **kwargs)
+        opened.append(remote)
+        return remote
+
+    def spy_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(RemoteSpace, "connect", classmethod(flaky_connect))
+    monkeypatch.setattr(RemoteSpace, "close", spy_close)
+    cfg = BenchConfig(case="matmul", workers=2, size=4, reps=1, seed=1, deadline=1)
+    r = run_one(cfg, tmp_path=tmp_path, key="partial")
+    assert not r.correct
+    assert "worker0: Unreachable: cannot reach worker1 (injected)" in r.error
+    assert calls["worker0"] == 2 and len(opened) == 5  # worker0 opened one
+    assert all(any(c is remote for c in closed) for remote in opened)
 
 
 def test_timer_excludes_initialization(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import tuplespaces
 from tuplespaces import profiler
 from tuplespaces.cli import EXIT_FAILURE, EXIT_INFRA, EXIT_OK, EXIT_USAGE, main
 from tuplespaces.bench import password as password_mod
@@ -302,7 +303,9 @@ def test_hosts_mode_round_trip(tmp_path):
             else:
                 time.sleep(0.05)
         assert config_path is not None
-        env = os.environ.copy()
+        env = os.environ.copy()  # the children import the package this test imports
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(tuplespaces.__file__)))
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
         procs = [subprocess.Popen([sys.executable, "-m", "tuplespaces", "run-role",
                                    "--config", config_path, "--role", "worker",
                                    "--index", str(k)], env=env)

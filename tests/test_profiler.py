@@ -201,7 +201,8 @@ def _csv_bytes(rows) -> str:
 @pytest.mark.parametrize("process", ["proc-a", *_AWKWARD[1:]])
 def test_dump_writes_what_csv_writer_writes(tmp_path, process):
     """Process, thread and label text that needs quoting is quoted as csv
-    quotes it; the rows are those of the records, in the documented order."""
+    quotes it, and a carriage return is quoted too; the rows are those of the
+    records, in the documented order, and parse back to them."""
     c = Collector()
     c.set_process(process)  # the constructor would replace an empty name
     expected = []
@@ -224,7 +225,9 @@ def test_dump_writes_what_csv_writer_writes(tmp_path, process):
     path = tmp_path / "d.csv"
     c.dump(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        assert fh.read() == _csv_bytes(expected)
+        # csv.writer(lineterminator="\n") leaves that field unquoted
+        assert fh.read() == _csv_bytes(expected).replace("cr\rhere", '"cr\rhere"')
+    assert parse_dump(path) == expected
 
 
 def test_seq_numbers_each_threads_rows_across_dumps_with_counters(tmp_path):

@@ -145,16 +145,6 @@ def test_tie_break_is_directory_order():
     assert stats.order(5) == [0, 1, 2, 3, 4]
 
 
-def test_decay_reset():
-    stats = SuccessStats()
-    stats.update(0, True)
-    stats.update(1, False)
-    stats.reset()
-    assert stats.factor(0) == 0.5 and stats.factor(1) == 0.5
-    stats.reset()  # idempotent
-    assert stats.order(3) == [0, 1, 2]
-
-
 @given(st.floats(min_value=0.01, max_value=0.99),
        st.lists(st.booleans(), min_size=1, max_size=50))
 def test_factor_stays_in_unit_interval(alpha, outcomes):
