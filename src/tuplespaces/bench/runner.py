@@ -83,29 +83,6 @@ def role_names(workers: int) -> list[str]:
     return [role_name(i) for i in range(workers + 1)]
 
 
-def find_free_base_port(count: int, start: int = 20011, end: int = 60000) -> int:
-    """A base such that base..base+count-1 are all currently bindable."""
-    for base in range(start, end, max(count, 7)):
-        ok = True
-        socks = []
-        try:
-            for off in range(count):
-                s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                try:
-                    s.bind(("127.0.0.1", base + off))
-                except OSError:
-                    ok = False
-                    s.close()
-                    break
-                socks.append(s)
-        finally:
-            for s in socks:
-                s.close()
-        if ok:
-            return base
-    raise AddressInUse(f"no free port range of {count} found")
-
-
 def check_ports_free(addresses: list[NodeAddress]) -> None:
     for addr in addresses:
         s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -17,9 +17,10 @@ reads.  A caller whose send fails gives the role back and wakes the
 followers before it raises ConnectionLost.  The leader reads with
 wire.read_frame, through the handle's one FrameReader, whose deadline it sets
 to its own so that a timed wait ends on time even while a reply is only partly
-in.  `rd_async` legs with an `on_done` callback have no caller to read for
-them: the first such leg starts one reader thread per handle, which takes the
-reading role only while callback legs are outstanding and no caller holds it.
+in.  A handle starts no thread, so the reply to an `rd_async` leg is read by
+whichever thread reads the socket when it arrives, and somebody must wait for
+it: `PendingReply.wait` for one leg, or `wait_first`, which reads the sockets
+of several handles at once in a single poll.
 
 Operation semantics mirror LocalSpace exactly; see store.py.
 """
@@ -27,6 +28,7 @@ Operation semantics mirror LocalSpace exactly; see store.py.
 from __future__ import annotations
 
 import math
+import select
 import socket
 import threading
 import time
@@ -105,17 +107,13 @@ class RemoteSpace:
         self._send_lock = threading.Lock()
         # _lock guards everything below.  _turn wakes followers when a reply
         # lands or the reading role frees up, and only while _followers (the
-        # callers parked on it) is above zero; _legs_due wakes the callback
-        # reader only when it may have to read, not on every reply.
+        # callers parked on it) is above zero.
         self._lock = threading.Lock()
         self._turn = threading.Condition(self._lock)
         self._followers = 0
-        self._legs_due = threading.Condition(self._lock)
         self._pending: dict[int, PendingReply] = {}
         self._next_id = 1
         self._reading = False
-        self._callback_legs = 0
-        self._callback_reader: threading.Thread | None = None
         self._lost: ConnectionLost | None = None
         self._closed = False
 
@@ -168,8 +166,6 @@ class RemoteSpace:
             # A thread reading the socket closes it when it steps down, so its
             # descriptor is never closed (and reused) under a blocked recv.
             release = not self._reading
-            reader = self._callback_reader
-            self._legs_due.notify()
         try:
             self._sock.shutdown(socket.SHUT_RDWR)  # wakes a reader blocked in recv
         except OSError:
@@ -177,8 +173,6 @@ class RemoteSpace:
         if release:
             self._sock.close()
         _run_callbacks(failed)
-        if reader is not None and reader is not threading.current_thread():
-            reader.join()
 
     # -- reading: leader/followers ------------------------------------------
 
@@ -202,53 +196,58 @@ class RemoteSpace:
             self._reading = True
         return self._lead(pending, deadline)
 
-    def _serve_callbacks(self) -> None:
-        """Callback reader: reads while callback legs are outstanding and no caller does."""
-        while True:
-            with self._lock:
-                while not self._closed and (self._reading or not self._callback_legs):
-                    self._legs_due.wait()
-                if self._closed:
-                    return
-                self._reading = True
-            self._lead(None, None)
-
-    def _lead(self, pending: PendingReply | None, deadline: float | None) -> bool:
-        """Hold the reading role until `pending`'s reply is in, or, for the
-        callback reader (None), until no callback leg is outstanding.  False
-        when the deadline passes first."""
+    def _lead(self, pending: PendingReply, deadline: float | None) -> bool:
+        """Hold the reading role until `pending`'s reply is in; False when
+        the deadline passes first."""
         reader = self._reader
         reader.deadline = deadline
         try:
-            while pending.kind is None if pending is not None else self._callback_legs:
+            while pending.kind is None:
                 frame = wire.read_frame(reader)
                 if frame is None:
                     return False
                 self._deliver(*frame)
             return True
         except (OSError, ValueError, MalformedFrame, ConnectionLost):
-            with self._lock:
-                if self._lost is None:
-                    self._lost = ConnectionLost(f"connection to {self.address} lost")
-                failed = self._settle_all(self._lost)
-            _run_callbacks(failed)
+            self._lose()
             return True
         finally:
-            with self._lock:
-                release = self._step_down()
-            if release:
-                self._sock.close()
+            self._step_down()
 
-    def _step_down(self) -> bool:
-        """Give up the reading role and wake whoever may take it; the caller
-        holds _lock.  True when the caller is to close the socket, which
-        close() left open while this thread held the role."""
-        self._reading = False
-        if self._followers:
-            self._turn.notify_all()
-        if self._callback_legs:
-            self._legs_due.notify()
-        return self._closed
+    def _read_in(self, wait: float) -> bool:
+        """Deliver every frame that is in, waiting at most `wait` seconds for
+        the first; False when the connection is lost.  Later reads have a
+        passed deadline, so they take only bytes already received, such as
+        a second frame from the same segment, which poll does not report."""
+        reader = self._reader
+        reader.deadline = time.monotonic() + wait
+        try:
+            while (frame := wire.read_frame(reader)) is not None:
+                reader.deadline = 0.0
+                self._deliver(*frame)
+            return True
+        except (OSError, ValueError, MalformedFrame, ConnectionLost):
+            self._lose()
+            return False
+
+    def _lose(self) -> None:
+        """Fail every pending request once reading the connection has failed."""
+        with self._lock:
+            if self._lost is None:
+                self._lost = ConnectionLost(f"connection to {self.address} lost")
+            failed = self._settle_all(self._lost)
+        _run_callbacks(failed)
+
+    def _step_down(self) -> None:
+        """Give up the reading role and wake whoever may take it; close the
+        socket when close() left it open while this thread held the role."""
+        with self._lock:
+            self._reading = False
+            if self._followers:
+                self._turn.notify_all()
+            release = self._closed
+        if release:
+            self._sock.close()
 
     def _deliver(self, msg_type: int, request_id: int, body: bytes) -> None:
         if msg_type == wire.MSG_REPLY_TUPLE:
@@ -265,25 +264,20 @@ class RemoteSpace:
             pending = self._pending.pop(request_id, None)
             if pending is None:
                 return  # its request already failed (send error or lost connection)
-            self._settle(pending, kind, payload)
+            pending.payload = payload  # before kind, which wait_first reads unlocked
+            pending.kind = kind
             if self._followers:
                 self._turn.notify_all()
         if pending.on_done is not None:
             pending.on_done(pending)
-
-    def _settle(self, pending: PendingReply, kind: str, payload) -> None:
-        """Record a reply; the caller holds _lock, wakes the waiters and runs on_done."""
-        pending.kind = kind
-        pending.payload = payload
-        if pending.on_done is not None:
-            self._callback_legs -= 1
 
     def _settle_all(self, exc: ConnectionLost) -> list[PendingReply]:
         """Fail every pending request; the caller holds _lock and runs their callbacks."""
         failed = list(self._pending.values())
         self._pending.clear()
         for p in failed:
-            self._settle(p, "lost", exc)
+            p.payload = exc
+            p.kind = "lost"
         self._turn.notify_all()
         return failed
 
@@ -311,26 +305,15 @@ class RemoteSpace:
             leading = lead and not self._reading
             if leading:
                 self._reading = True
-            if on_done is not None:
-                self._callback_legs += 1
-                if self._callback_reader is None:
-                    self._callback_reader = threading.Thread(
-                        target=self._serve_callbacks,
-                        name=f"reader-{self.address.host}:{self.address.port}", daemon=True)
-                    self._callback_reader.start()
-                else:
-                    self._legs_due.notify()
         try:
             frame = wire.build_frame(msg_type, request_id, body)
             with self._send_lock:
                 self._sock.sendall(frame)
         except BaseException as e:
             with self._lock:
-                if self._pending.pop(request_id, None) is not None and on_done is not None:
-                    self._callback_legs -= 1
-                release = leading and self._step_down()
-            if release:
-                self._sock.close()
+                self._pending.pop(request_id, None)
+            if leading:
+                self._step_down()
             if isinstance(e, OSError):
                 raise ConnectionLost(f"send to {self.address} failed: {e}") from None
             raise
@@ -390,8 +373,10 @@ class RemoteSpace:
     def rd_async(self, tpl: Template, timeout: float | None = None, on_done=None) -> PendingReply:
         """Issue a blocking RD without waiting; pair with cancel().
 
+        Somebody must wait for the reply (`pending.wait()`, `wait_first`).
         `on_done(pending)` runs exactly once, on whichever thread reads the
-        reply, so it must be quick and must not raise.
+        reply or finds the connection lost, so it must be quick and must not
+        raise.
         """
         return self._request(wire.MSG_RD, wire.pack_blocking(_timeout_to_ms(timeout), tpl),
                              on_done)[0]
@@ -408,3 +393,58 @@ class RemoteSpace:
                 self._sock.sendall(wire.build_frame(wire.MSG_CANCEL, pending.request_id))
         except OSError:
             pass
+
+
+RETRY_MS = 1  # how often wait_first looks again at a leg that another thread reads
+FIRST_READ_WAIT = 0.001  # how long a socket that poll found readable may take
+
+
+def wait_first(legs: list[PendingReply], wake_fd: int,
+               deadline: float | None) -> PendingReply | None:
+    """The first of the `rd_async` legs to get a tuple; None once `wake_fd`
+    turns readable or `deadline` (time.monotonic(); None: no limit) passes.
+
+    Takes the reading role of every leg's handle that nobody reads and polls
+    their sockets and `wake_fd` at once, so those replies (and `on_done`)
+    are delivered on this thread; a handle that another thread reads is
+    looked at again every RETRY_MS.  Failed legs drop out, and with none
+    left the wait goes on for `wake_fd`.  Every role taken is given back.
+    """
+    poller = select.poll()
+    poller.register(wake_fd, select.POLLIN)
+    held: dict[int, RemoteSpace] = {}  # socket descriptor -> handle this thread reads
+    try:
+        while True:
+            others = False
+            for leg in legs:
+                space = leg._space
+                fd = space._sock.fileno()
+                if leg.kind is not None or fd in held:
+                    continue
+                with space._lock:
+                    take = leg.kind is None and not space._reading
+                    if take:
+                        space._reading = True
+                if take:
+                    held[fd] = space
+                    if space._read_in(0.0):  # frames that a reader before us left received
+                        poller.register(fd, select.POLLIN)
+                else:
+                    others = True
+            for leg in legs:
+                if leg.kind == "tuple":
+                    return leg
+            timeout = RETRY_MS if others else None
+            if deadline is not None:
+                left = math.ceil((deadline - time.monotonic()) * 1000.0)
+                if left <= 0:
+                    return None
+                timeout = min(left, timeout or left)
+            for fd, _ in poller.poll(timeout):
+                if fd == wake_fd:
+                    return None
+                if not held[fd]._read_in(FIRST_READ_WAIT):
+                    poller.unregister(fd)
+    finally:
+        for space in held.values():
+            space._step_down()

@@ -20,12 +20,13 @@ number-of-visited-nodes comparisons rely on.
 
 from __future__ import annotations
 
-import threading
+import os
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import profiler
+from .client import wait_first
 from .errors import ConnectionLost, DeadlineExceeded
 from .labels import NODE_VISITED, READ_LOCAL, READ_REMOTE, SEARCH
 from .store import LocalSpace
@@ -163,59 +164,50 @@ def search_notify(directory: PeerDirectory, tpl: Template,
                   deadline: float | None = None) -> SearchOutcome:
     """Broadcast blocking reads everywhere at once; first reply wins.
 
+    The searching thread reads the remote legs' replies itself, and the
+    local leg's waiter wakes it through an eventfd (client.wait_first).  A
+    peer that is lost drops out; the others and the local leg are waited
+    for until the deadline.
+
     Non-destructive by construction: a broadcast take would need a
     distributed return protocol, which this middleware does not define.
     """
     start = time.perf_counter_ns()
-    done = threading.Event()
-    state = {"winner": None, "kind": None, "lost": 0}
-    lock = threading.Lock()
+    until = None if deadline is None else time.monotonic() + deadline
     n_legs = 1 + len(directory.peers)
-
-    def settle(kind: str, tup) -> None:
-        with lock:
-            if state["winner"] is None:
-                state["winner"] = tup
-                state["kind"] = kind
-                done.set()
+    profiler.inc_counter(NODE_VISITED, n_legs)
+    local = directory.local
+    wake = os.eventfd(0)
 
     def on_local(w) -> None:
         if w.satisfied:
-            settle("local", w.result)
+            os.eventfd_write(wake, 1)
 
-    def on_remote(pending) -> None:
-        if pending.kind == "tuple":
-            settle("remote", pending.payload)
-        elif pending.kind == "lost":
-            with lock:
-                state["lost"] += 1
-                if state["lost"] >= n_legs:
-                    done.set()
-
-    profiler.inc_counter(NODE_VISITED, n_legs)
-    local_waiter = directory.local.register_waiter(tpl, destructive=False,
-                                                   on_complete=on_local)
+    waiter = None
     remote_legs = []
     try:
+        waiter = local.register_waiter(tpl, destructive=False, on_complete=on_local)
         for peer in directory.peers:
             try:
-                remote_legs.append((peer, peer.rd_async(tpl, timeout=None, on_done=on_remote)))
+                remote_legs.append((peer, peer.rd_async(tpl, timeout=None)))
             except ConnectionLost:
-                with lock:
-                    state["lost"] += 1
-        done.wait(deadline)
+                pass
+        leg = wait_first([pending for _, pending in remote_legs], wake, until)
     finally:
-        directory.local.cancel_waiter(local_waiter)
+        if waiter is not None and not local.cancel_waiter(waiter):
+            # Satisfied: on_local writes `wake` now if it has not yet, and
+            # the descriptor must stay open for that write.
+            os.eventfd_read(wake)
         for peer, pending in remote_legs:
             peer.cancel(pending)
-    with lock:
-        winner = state["winner"]
-        kind = state["kind"]
+        os.close(wake)
     elapsed_ns = time.perf_counter_ns() - start
-    if winner is None:
-        if state["lost"] >= n_legs:
-            raise ConnectionLost("every leg of the broadcast read failed")
+    if leg is not None:
+        winner, label = leg.payload, READ_REMOTE
+    elif waiter.satisfied:
+        winner, label = waiter.result, READ_LOCAL
+    else:
         raise DeadlineExceeded(f"no reply within {deadline}s from {n_legs} spaces")
-    profiler.add_interval(READ_LOCAL if kind == "local" else READ_REMOTE, elapsed_ns)
+    profiler.add_interval(label, elapsed_ns)
     profiler.add_interval(SEARCH, time.perf_counter_ns() - start)
     return SearchOutcome(winner, n_legs, n_legs, elapsed_ns / 1e9, 1)

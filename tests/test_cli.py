@@ -16,12 +16,13 @@ from tuplespaces.cli import EXIT_FAILURE, EXIT_INFRA, EXIT_OK, EXIT_USAGE, main
 from tuplespaces.bench import password as password_mod
 from tuplespaces.bench.config import BenchConfig
 from tuplespaces.bench.runner import (
-    find_free_base_port,
     parse_hosts_file,
     parse_manifest,
     run_benchmark,
 )
 from tuplespaces.labels import ALL_LABELS
+
+from util import find_free_base_port
 
 
 def run_cli(*argv):

@@ -13,9 +13,11 @@ from tuplespaces import (
     ANY,
     AddressInUse,
     ConnectionLost,
+    DeadlineExceeded,
     LocalSpace,
     NodeAddress,
     PayloadTooLarge,
+    PeerDirectory,
     RemoteOpError,
     RemoteSpace,
     SpaceServer,
@@ -23,12 +25,13 @@ from tuplespaces import (
     Unreachable,
     VersionMismatch,
     make_tuple,
+    search_notify,
     template,
 )
 from tuplespaces import wire
 from tuplespaces.rng import SplitMix64
 
-from util import connected, random_tuple, served_space, template_from_tuple
+from util import connected, random_tuple, raw_peer, served_space, template_from_tuple
 
 
 def test_out_then_probe_echo():
@@ -576,30 +579,6 @@ def test_follower_reads_on_after_the_leader_steps_down():
         assert got == [make_tuple("second"), make_tuple("third")]
 
 
-def test_callback_reader_takes_over_when_a_caller_steps_down():
-    with served_space() as (space, srv), connected(srv) as cl:
-        first = cl.rd_async(template("first"), timeout=None)
-        waited = []
-        caller = threading.Thread(target=lambda: waited.append(first.wait(5)))
-        caller.start()
-        time.sleep(0.05)  # the caller now holds the reading role
-        called = threading.Event()
-        leg = cl.rd_async(template("leg"), timeout=None, on_done=lambda p: called.set())
-        time.sleep(0.05)  # the callback reader now waits for the role
-        space.out(make_tuple("first"))
-        caller.join(5)
-        assert waited == [True]
-        space.out(make_tuple("leg"))
-        assert called.wait(2)
-        assert leg.kind == "tuple"
-        time.sleep(0.05)  # no legs left: the callback reader is idle
-        called.clear()
-        leg = cl.rd_async(template("leg2"), timeout=None, on_done=lambda p: called.set())
-        space.out(make_tuple("leg2"))
-        assert called.wait(2)
-        assert leg.kind == "tuple"
-
-
 def test_close_fails_every_outstanding_request_while_one_reads():
     with served_space() as (_, srv):
         cl = RemoteSpace.connect(NodeAddress("127.0.0.1", srv.port, srv.name))
@@ -634,22 +613,7 @@ def test_close_fails_every_outstanding_request_while_one_reads():
 
 def test_wait_times_out_on_a_silent_server():
     """A server that answers HELLO and then never replies cannot hold a timed wait."""
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    port = listener.getsockname()[1]
-    accepted = []
-
-    def silent_server():
-        conn, _ = listener.accept()
-        accepted.append(conn)
-        wire.read_frame(wire.FrameReader(conn))
-        conn.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("silent")))
-
-    th = threading.Thread(target=silent_server, daemon=True)
-    th.start()
-    cl = RemoteSpace.connect(NodeAddress("127.0.0.1", port, "silent"))
-    try:
+    with raw_peer() as (cl, _, _):
         pending = cl.rd_async(template("x"), timeout=None)
         t0 = time.perf_counter()
         assert pending.wait(0.2) is False  # while it is the thread reading
@@ -673,35 +637,22 @@ def test_wait_times_out_on_a_silent_server():
         reader.join(1)
         assert not reader.is_alive() and len(reader_errors) == 1
         assert pending.wait(0) and pending.kind == "lost"
-    finally:
-        cl.close()
-        listener.close()
-        for conn in accepted:
-            conn.close()
+
+
+def _big_reply():
+    """A tuple larger than one receive and the reply to request 1 that carries it."""
+    tup = make_tuple("big", b"\x07" * (4 * wire.RECV_SIZE))
+    return tup, wire.build_frame(wire.MSG_REPLY_TUPLE, 1, wire.encode_tuple(tup))
 
 
 def test_wait_times_out_while_a_large_reply_is_partly_in():
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    port = listener.getsockname()[1]
-    accepted = []
-    tup = make_tuple("big", b"\x07" * (4 * wire.RECV_SIZE))
-    reply = wire.build_frame(wire.MSG_REPLY_TUPLE, 1, wire.encode_tuple(tup))
+    tup, reply = _big_reply()
 
-    def half_server():
-        conn, _ = listener.accept()
-        accepted.append(conn)
-        reader = wire.FrameReader(conn)
-        wire.read_frame(reader)
-        conn.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("half")))
+    def half(conn, reader):
         wire.read_frame(reader)  # the RD
         conn.sendall(reply[:len(reply) // 2])
 
-    th = threading.Thread(target=half_server, daemon=True)
-    th.start()
-    cl = RemoteSpace.connect(NodeAddress("127.0.0.1", port, "half"))
-    try:
+    with raw_peer(half) as (cl, th, accepted):
         pending = cl.rd_async(template("big", ANY), timeout=None)
         th.join(5)
         assert not th.is_alive()
@@ -710,11 +661,96 @@ def test_wait_times_out_while_a_large_reply_is_partly_in():
         assert 0.1 <= time.monotonic() - t0 < 1.0
         accepted[0].sendall(reply[len(reply) // 2:])
         assert pending.wait(5) and pending.kind == "tuple" and pending.payload == tup
-    finally:
-        cl.close()
-        listener.close()
-        for conn in accepted:
-            conn.close()
+
+
+# -- a notify search reads its own legs ---------------------------------------------
+
+def _two_replies_in_one_segment(conn, reader):
+    """Answer the first two requests with one sendall: NONE, then ("leg",)."""
+    first = wire.read_frame(reader)[1]
+    leg = wire.read_frame(reader)[1]
+    conn.sendall(wire.build_frame(wire.MSG_REPLY_NONE, first)
+                 + wire.build_frame(wire.MSG_REPLY_TUPLE, leg,
+                                    wire.encode_tuple(make_tuple("leg"))))
+
+
+def test_search_takes_a_reply_that_came_in_behind_another():
+    """Both replies arrive in one segment, the search's second: poll reports
+    the socket once, so the search must deliver both from that one read."""
+    with raw_peer(_two_replies_in_one_segment) as (cl, _, _):
+        done = []
+        other = cl.rd_async(template("other"), timeout=None, on_done=done.append)
+        t0 = time.monotonic()
+        out = search_notify(PeerDirectory(LocalSpace("me"), [cl]), template("leg"), deadline=5)
+        assert time.monotonic() - t0 < 1.0
+        assert out.tuple == make_tuple("leg")
+        assert other.kind == "none" and done == [other]  # on_done ran on the searching thread
+
+
+def test_search_takes_a_reply_that_a_reader_before_it_left_received():
+    """A synchronous caller reads both replies in one segment, takes its own
+    and steps down; the search, which takes the role next, finds its reply
+    already received, where poll cannot see it."""
+    with raw_peer(_two_replies_in_one_segment) as (cl, _, _):
+        got = []
+        caller = threading.Thread(target=lambda: got.append(cl.rdp(template("first"))))
+        caller.start()
+        time.sleep(0.05)  # the caller now holds the reading role
+        t0 = time.monotonic()
+        out = search_notify(PeerDirectory(LocalSpace("me"), [cl]), template("leg"), deadline=5)
+        assert time.monotonic() - t0 < 1.0
+        assert out.tuple == make_tuple("leg")
+        caller.join(5)
+        assert got == [None]
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_search_ends_at_its_deadline_while_a_reply_is_half_in(size):
+    if size == "large":
+        _, reply = _big_reply()
+    else:
+        reply = wire.build_frame(wire.MSG_REPLY_TUPLE, 1, wire.encode_tuple(make_tuple("leg")))
+
+    def half(conn, reader):
+        wire.read_frame(reader)  # the RD
+        conn.sendall(reply[:len(reply) // 2])
+
+    with raw_peer(half) as (cl, _, _):
+        t0 = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            search_notify(PeerDirectory(LocalSpace("me"), [cl]), template(ANY, ANY),
+                          deadline=0.2)
+        assert 0.2 <= time.monotonic() - t0 < 1.2
+        assert not cl._reading
+
+
+def test_search_shares_its_handle_with_synchronous_callers():
+    """The handle is read by another caller when the search starts; the
+    search takes the reading role once that caller steps down, and callers
+    that come during the search follow it and get their replies."""
+    with served_space() as (space, srv), connected(srv) as cl:
+        got = []
+        caller = threading.Thread(target=lambda: got.append(cl.rd(template("first"), timeout=5)))
+        caller.start()
+        time.sleep(0.05)  # the caller now holds the reading role
+        found = []
+        searcher = threading.Thread(target=lambda: found.append(search_notify(
+            PeerDirectory(LocalSpace("me"), [cl]), template("leg"), deadline=5)))
+        searcher.start()
+        time.sleep(0.05)
+        space.out(make_tuple("first"))
+        caller.join(5)
+        assert got == [make_tuple("first")]
+        time.sleep(0.05)
+        assert cl._reading  # the search holds the role now
+        for i in range(20):
+            cl.out(make_tuple("sync", i))
+            assert cl.rdp(template("sync", i)) == make_tuple("sync", i)
+        space.out(make_tuple("leg"))
+        searcher.join(5)
+        assert not searcher.is_alive()
+        assert found[0].tuple == make_tuple("leg")
+        assert cl.count(template("sync", ANY)) == 20
 
 
 def test_synchronous_use_starts_no_thread():
@@ -732,33 +768,6 @@ def test_synchronous_use_starts_no_thread():
         assert cl.inp(template("s", ANY)) == make_tuple("s", 1)
         started = set(threading.enumerate()) - before
         assert {th.name for th in started} == {f"accept-{srv.name}", f"conn-{srv.name}"}
-
-
-def test_callback_legs_share_one_reader_thread():
-    with served_space() as (space, srv):
-        cl = RemoteSpace.connect(NodeAddress("127.0.0.1", srv.port, srv.name))
-        before = set(threading.enumerate())
-        done = []
-        lock = threading.Lock()
-
-        def on_done(pending):
-            with lock:
-                done.append(pending)
-
-        legs = [cl.rd_async(template("leg", i), timeout=None, on_done=on_done)
-                for i in range(20)]
-        assert len(set(threading.enumerate()) - before) == 1
-        for i in range(0, 20, 2):
-            space.out(make_tuple("leg", i))
-        for leg in legs:
-            cl.cancel(leg)
-        deadline = time.time() + 5
-        while len(done) < 20 and time.time() < deadline:
-            time.sleep(0.01)
-        assert sorted(map(id, done)) == sorted(map(id, legs))
-        assert [leg.kind for leg in legs] == ["tuple", "none"] * 10
-        cl.close()
-        assert set(threading.enumerate()) <= before
 
 
 def test_timeouts_expire_on_the_connection_thread():

@@ -1,7 +1,10 @@
 """Search strategies: probe order, visited accounting, factor dynamics, notify."""
 
+import os
+import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
@@ -244,6 +247,129 @@ def test_notify_deadline():
     with pytest.raises(DeadlineExceeded):
         search_notify(PeerDirectory(local, []), template("never"), deadline=0.05)
     assert local.pending_waiter_count() == 0
+
+
+@contextmanager
+def lost_peers(local):
+    """A directory of `local` and two handles whose servers have stopped."""
+    with served_space("p0") as (_, srv0), served_space("p1") as (_, srv1):
+        with connected(srv0) as r0, connected(srv1) as r1:
+            srv0.stop()
+            srv1.stop()
+            yield PeerDirectory(local, [r0, r1])
+            for peer in (r0, r1):
+                with pytest.raises(ConnectionLost):
+                    peer.rdp(template("x"))
+
+
+def test_notify_waits_on_the_local_leg_once_every_peer_is_lost():
+    local = LocalSpace("me")
+    with lost_peers(local) as d:
+        later = threading.Timer(0.05, local.out, args=(make_tuple("late"),))
+        later.start()
+        try:
+            out = search_notify(d, template("late"), deadline=5)
+        finally:
+            later.join(5)
+        assert out.tuple == make_tuple("late")
+        assert out.elapsed >= 0.04
+
+
+def test_notify_without_peers_left_ends_at_its_deadline():
+    local = LocalSpace("me")
+    with lost_peers(local) as d:
+        t0 = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            search_notify(d, template("never"), deadline=0.2)
+        assert 0.2 <= time.monotonic() - t0 < 1.2
+        assert local.pending_waiter_count() == 0
+
+
+def test_notify_search_starts_no_thread():
+    with served_space("p0") as (s0, srv0), served_space("p1") as (_, srv1):
+        with connected(srv0) as r0, connected(srv1) as gone:
+            srv1.stop()
+            local = LocalSpace("me")
+            d = PeerDirectory(local, [r0, gone])
+            before = set(threading.enumerate())
+            found = []
+            searcher = threading.Thread(
+                target=lambda: found.append(search_notify(d, template("x", ANY), deadline=5)))
+            searcher.start()
+            deadline = time.time() + 5
+            while s0.pending_waiter_count() == 0 and time.time() < deadline:
+                time.sleep(0.005)
+            assert local.pending_waiter_count() == 1  # parked at both live legs
+            assert set(threading.enumerate()) - before == {searcher}
+            s0.out(make_tuple("x", 1))
+            searcher.join(5)
+            assert not searcher.is_alive()
+            assert found[0].tuple == make_tuple("x", 1)
+
+
+def test_searches_and_calls_share_handles_under_fast_switching():
+    """Searchers take, lose and retake the reading roles of shared handles
+    while synchronous callers use them; every search and call completes."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with served_space("p0") as (s0, srv0), served_space("p1") as (s1, srv1):
+            with connected(srv0) as r0, connected(srv1) as r1:
+                s1.out(make_tuple("here", 1))
+                errors = []
+
+                def searcher(k):
+                    d = PeerDirectory(LocalSpace(f"me{k}"), [r0, r1])
+                    try:
+                        for _ in range(30):
+                            out = search_notify(d, template("here", ANY), deadline=10)
+                            assert out.tuple == make_tuple("here", 1)
+                    except BaseException as e:
+                        errors.append(e)
+
+                def caller(k):
+                    try:
+                        for i in range(50):
+                            r0.out(make_tuple("c", k, i))
+                            assert r0.inp(template("c", k, i)) == make_tuple("c", k, i)
+                    except BaseException as e:
+                        errors.append(e)
+
+                threads = ([threading.Thread(target=searcher, args=(k,)) for k in range(3)]
+                           + [threading.Thread(target=caller, args=(k,)) for k in range(2)])
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(30)
+                assert not any(th.is_alive() for th in threads)
+                assert errors == []
+                assert s0.size() == 0
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_notify_searches_leave_no_descriptor():
+    """Remote hits, local hits and deadlines, with a lost peer in every
+    search; an unclosed eventfd is a raw descriptor, which only a count of
+    the open descriptors shows."""
+    with served_space("p0") as (s0, srv0), served_space("p1") as (_, srv1):
+        with connected(srv0) as r0, connected(srv1) as gone:
+            srv1.stop()
+            local = LocalSpace("me")
+            d = PeerDirectory(local, [r0, gone])
+            before = len(os.listdir("/proc/self/fd"))
+            for i in range(50):
+                if i % 3 == 0:
+                    s0.out(make_tuple("remote", i))
+                    assert search_notify(d, template("remote", i), deadline=5).tuple
+                elif i % 3 == 1:
+                    local.out(make_tuple("local", i))
+                    assert search_notify(d, template("local", i), deadline=5).tuple
+                else:
+                    with pytest.raises(DeadlineExceeded):
+                        search_notify(d, template("never"), deadline=0.01)
+            assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_directory_rejects_self_in_peers():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import socket
+import struct
+import threading
 from contextlib import contextmanager
 
 from tuplespaces import (
     ANY,
+    AddressInUse,
     LocalSpace,
     NodeAddress,
     RemoteSpace,
@@ -15,10 +19,10 @@ from tuplespaces import (
     lit,
     match,
     wildcard,
+    wire,
 )
 from tuplespaces.rng import SplitMix64
 from tuplespaces.tuples import ALL_TAGS, float_array, int_array
-import struct
 
 
 # -- random tuples / templates over the full value universe ---------------------
@@ -141,3 +145,62 @@ def connected(server: SpaceServer, name: str = "cli"):
         yield remote
     finally:
         remote.close()
+
+
+@contextmanager
+def raw_peer(script=None):
+    """A RemoteSpace connected to a hand-driven server.
+
+    The server thread accepts one connection, answers its HELLO and then runs
+    `script(conn, reader)` on the accepted socket and its FrameReader, if
+    given, and returns.  Yields the client, the server thread and the list
+    holding the accepted socket; everything is closed on exit.
+    """
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    accepted = []
+
+    def serve():
+        conn, _ = listener.accept()
+        accepted.append(conn)
+        reader = wire.FrameReader(conn)
+        wire.read_frame(reader)
+        conn.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello("raw")))
+        if script is not None:
+            script(conn, reader)
+
+    th = threading.Thread(target=serve, daemon=True)
+    th.start()
+    cl = RemoteSpace.connect(NodeAddress("127.0.0.1", listener.getsockname()[1], "raw"))
+    try:
+        yield cl, th, accepted
+    finally:
+        cl.close()
+        listener.close()
+        th.join(5)
+        for conn in accepted:
+            conn.close()
+
+
+def find_free_base_port(count: int, start: int = 20011, end: int = 60000) -> int:
+    """A base such that base..base+count-1 are all currently bindable."""
+    for base in range(start, end, max(count, 7)):
+        ok = True
+        socks = []
+        try:
+            for off in range(count):
+                s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                try:
+                    s.bind(("127.0.0.1", base + off))
+                except OSError:
+                    ok = False
+                    s.close()
+                    break
+                socks.append(s)
+        finally:
+            for s in socks:
+                s.close()
+        if ok:
+            return base
+    raise AddressInUse(f"no free port range of {count} found")
