@@ -5,7 +5,8 @@ all to worker 0 (b_on_one).  For each owned row i a worker walks j upward,
 locating row j of B through the configured strategy every time (no caching:
 the repeated lookups are the point of the case study) and accumulating
 c += a_ij * b_j in that fixed order, which keeps the result bit-comparable
-to the triple-loop reference.
+to the triple-loop reference.  A worker builds its n B-row templates once and
+reuses them, so each is encoded once; every lookup still runs the search.
 
 B rows are distributed before A rows and a worker starts computing only when
 all its A rows have arrived, so every lookup happens against fully placed
@@ -71,11 +72,12 @@ def run_worker(h: RoleHandles) -> None:
         tup = h.take_local(a_tpl)
         a_rows[tup.data[1]] = tup.data[2]
 
+    b_tpls = [template(B_ROW_NAME, j, ANY) for j in range(n)]
     for i in sorted(a_rows):
         a_row = a_rows[i]
         c_row = [0.0] * n
         for j in range(n):
-            got = h.search(template(B_ROW_NAME, j, ANY), destructive=False)
+            got = h.search(b_tpls[j], destructive=False)
             b_row = got.tuple.data[2]
             a_ij = a_row[j]
             for m in range(n):

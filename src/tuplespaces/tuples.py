@@ -277,15 +277,22 @@ def wildcard(tag: int) -> PatternField:
 
 class Template:
     """An immutable template, arity >= 1, stored as ``codes`` and ``data``.
-    ``Template(fields)`` equals ``template(*fields)``."""
+    ``Template(fields)`` equals ``template(*fields)``.
 
-    __slots__ = ("codes", "data")
+    ``body`` is the template's wire encoding once wire.encode_template has
+    built it, else None, so a template probed again and again is encoded
+    once.  The template never changes, so the kept bytes cannot go stale;
+    they take no part in equality or hashing.
+    """
+
+    __slots__ = ("codes", "data", "body")
 
     def __init__(self, fields: Iterable):
         fields = tuple(fields)
         if not fields:
             raise ValueError("template arity must be >= 1")
         self.codes, self.data = _layout(fields, True)
+        self.body = None
 
     @property
     def arity(self) -> int:
@@ -339,4 +346,5 @@ def template_of(tup: Tuple) -> Template:
     tpl = object.__new__(Template)
     tpl.codes = tup.tags
     tpl.data = tup.data
+    tpl.body = None
     return tpl

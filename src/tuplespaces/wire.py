@@ -21,7 +21,9 @@ that a body is used to its last byte.  A tuple decoded from a whole `bytes`
 body keeps it, and `encode_tuple` returns it: a tuple that arrived by OUT is
 sent back to each probe that hits it without being encoded again.  A
 memoryview body (a frame received in place) is not kept.  The encoding is
-canonical, so the kept body equals what encoding would build.
+canonical, so the kept body equals what encoding would build.  A template
+keeps its encoding too, from the first `encode_template` on, so a client
+probing with one template again and again encodes it once.
 
 `read_frame` is the one way to read frames off a socket, for the server's
 connection threads and the client's readers alike.  It reads through a
@@ -151,7 +153,12 @@ def encode_tuple(tup: Tuple) -> bytes:
 
 
 def encode_template(tpl: Template) -> bytes:
-    return _encode(tpl.codes, tpl.data)
+    """The template's encoding, built on the first call and kept as its
+    ``body``: later calls return the same bytes."""
+    body = tpl.body
+    if body is None:
+        body = tpl.body = _encode(tpl.codes, tpl.data)
+    return body
 
 
 _TRUNCATED = "truncated: declared length exceeds available bytes"
@@ -234,6 +241,7 @@ def decode_tuple(data: bytes | memoryview) -> Tuple:
 def _template_at(buf, pos: int) -> tuple[Template, int]:
     tpl = _new_object(Template)
     tpl.codes, tpl.data, end = _fields_at(buf, pos, WILDCARD_CODES)
+    tpl.body = None
     return tpl, end
 
 

@@ -148,6 +148,37 @@ def test_tie_break_is_directory_order():
     assert stats.order(5) == [0, 1, 2, 3, 4]
 
 
+class _Outcomes:
+    """A space whose probes hit or miss as a fixed list says, in turn."""
+
+    def __init__(self, outcomes):
+        self.outcomes = iter(outcomes)
+
+    def rdp(self, tpl):
+        return make_tuple("x") if next(self.outcomes) else None
+
+
+def test_one_peer_search_visits_and_factor():
+    """Four searches with one peer: a hit, a local hit, a hit in round two
+    and in round three.  Visits and nodeVisited follow the one-peer rule,
+    and every peer probe updates the factor."""
+    peer_outcomes = [True, False, True, False, False, True]
+    d = PeerDirectory(_Outcomes([False, True, False, False, False, False, False]),
+                      [_Outcomes(peer_outcomes)])
+    stats = SuccessStats()
+    before = profiler.counter_total(NODE_VISITED)
+    outs = [search_success_factor(d, stats, template("x"), poll_interval=0.0001)
+            for _ in range(4)]
+    assert [o.visited_nodes for o in outs] == [2, 1, 4, 6]
+    assert [o.visited_nodes_first_round for o in outs] == [2, 1, 2, 2]
+    assert [o.rounds for o in outs] == [1, 1, 2, 3]
+    assert profiler.counter_total(NODE_VISITED) - before == 7
+    expected = SuccessStats()
+    for hit in peer_outcomes:
+        expected.update(0, hit)
+    assert stats.factor(0) == expected.factor(0)
+
+
 @given(st.floats(min_value=0.01, max_value=0.99),
        st.lists(st.booleans(), min_size=1, max_size=50))
 def test_factor_stays_in_unit_interval(alpha, outcomes):

@@ -50,7 +50,10 @@ def test_rdp_fifo_and_miss():
     sp.out(make_tuple("a", 1))
     sp.out(make_tuple("a", 2))
     assert sp.rdp(template("a", ANY)) == make_tuple("a", 1)
-    assert sp.rdp(template("b", ANY)) is None
+    # A probe for a head or arity with no bucket misses and creates none.
+    for tpl in (template("b", ANY), template("a", ANY, ANY), template("", 1)):
+        assert sp.rdp(tpl) is None and sp.inp(tpl) is None and sp.count(tpl) == 0
+    assert set(sp._buckets) == {(2, "a")}
 
 
 def test_inp_fifo_removal():

@@ -5,6 +5,7 @@ import math
 import socket
 import struct
 import sys
+import threading
 import time
 
 import pytest
@@ -15,7 +16,9 @@ from tuplespaces import (
     INT,
     ConnectionLost,
     MalformedFrame,
+    PatternField,
     PayloadTooLarge,
+    Template,
     Tuple,
     float_array,
     int_array,
@@ -181,12 +184,22 @@ def test_pinned_corpus_encodes_to_the_pinned_digest_and_decodes_back():
         digest.update(enc)
         assert wire.decode_tuple(enc) == tup
     for tpl in templates:
+        unfilled = hash(tpl)
         enc = wire.encode_template(tpl)
         digest.update(enc)
-        assert wire.decode_template(enc) == tpl
+        # The template keeps its encoding, which equals a fresh equal
+        # template's; the kept bytes change neither == nor hash.
+        assert tpl.body is enc and wire.encode_template(tpl) is enc
+        fresh = Template(map(PatternField, tpl.codes, tpl.data))
+        assert fresh.body is None and wire.encode_template(fresh) == enc
+        decoded = wire.decode_template(enc)
+        assert decoded == tpl and decoded.body is None
+        assert hash(decoded) == hash(tpl) == unfilled
+        assert wire.encode_template(decoded) == enc
     for timeout_ms, tpl in blocking:
         enc = wire.pack_blocking(timeout_ms, tpl)
         digest.update(enc)
+        assert enc[8:] == tpl.body
         assert wire.unpack_blocking(enc) == (timeout_ms, tpl)
     assert digest.hexdigest() == _PINNED_DIGEST
 
@@ -200,6 +213,31 @@ def test_a_tuple_decoded_from_bytes_encodes_to_those_bytes():
         fresh = Tuple(decoded.data)
         assert fresh == decoded and fresh.body is None
         assert wire.encode_tuple(fresh) == enc
+
+
+def test_threads_encoding_shared_templates_at_once_get_equal_bytes():
+    """A template first encoded by several threads at once may be encoded
+    more than once, but every call returns its canonical encoding."""
+    want = [wire.encode_template(t) for t in _pinned_corpus()[1]]
+    shared = _pinned_corpus()[1]
+    got = []
+
+    def encode_all():
+        got.append([wire.encode_template(t) for t in shared])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=encode_all) for _ in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(10)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [want] * 6
+    assert [t.body for t in shared] == want
 
 
 def test_a_tuple_decoded_from_a_memoryview_keeps_nothing():
