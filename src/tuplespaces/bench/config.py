@@ -93,6 +93,8 @@ class BenchConfig:
             errs.append(f"unknown mode {self.mode!r}")
         if self.mode == "procs" and self.base_port <= 0:
             errs.append("procs mode needs an explicit --base-port")
+        elif self.mode == "procs" and self.base_port + self.workers > 65535:
+            errs.append("procs mode needs --base-port + workers <= 65535")
         if self.mode == "hosts" and not self.hosts:
             errs.append("hosts mode needs a hosts file")
         if self.hosts is not None and len(self.hosts) != self.workers + 1:

@@ -16,7 +16,8 @@ Three topologies:
 * procs   -- every role is a spawned local process (`run-role` entry point);
   roles find each other through pre-assigned ports.
 * hosts   -- addresses come from a hosts file (master first); this process
-  runs the master and the workers are started elsewhere with `run-role`.
+  spawns only the master, and the workers are started elsewhere with
+  `run-role`.  Both modes spawn and watch their roles in `run_rep_procs`.
 
 Roles are known by position: role 0 is the master, role k + 1 is worker k.
 Every topology runs role i through one function, `_connect_and_run`, which
@@ -35,6 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -223,15 +225,15 @@ def _run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) 
     return result
 
 
-# -- single-role execution (procs children, hosts master) -------------------------
+# -- procs and hosts topologies ---------------------------------------------------
 
 def run_role_inline(cfg: BenchConfig, i: int, addresses, rep_index: int, run_key: str,
-                    out_dir, connect_attempts: int = PROC_CONNECT_ATTEMPTS):
+                    out_dir):
     """Run role i to completion in this process and dump its records to
     role_dump_path(); returns the master's result.
 
-    Used by the `run-role` subcommand (procs children, remote hosts) and by
-    hosts mode for the local master.
+    Only the `run-role` subcommand calls this: the roles that run_rep_procs
+    spawns and the hosts-mode workers started on their own hosts.
     """
     name = role_name(i)
     threading.current_thread().name = name
@@ -243,7 +245,7 @@ def run_role_inline(cfg: BenchConfig, i: int, addresses, rep_index: int, run_key
     server = SpaceServer(space, addresses[i].host, addresses[i].port, name).start()
     h = _handles(cfg, i, rep_index, run_key, space, deadline_at)
     try:
-        result = _connect_and_run(h, i, addresses, connect_attempts)
+        result = _connect_and_run(h, i, addresses, PROC_CONNECT_ATTEMPTS)
         if i == 0:
             for remote in h.worker_remotes.values():
                 try:
@@ -260,8 +262,11 @@ def run_role_inline(cfg: BenchConfig, i: int, addresses, rep_index: int, run_key
 
 
 def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> CaseResult:
+    """One procs or hosts rep: spawn the roles this machine runs (all of
+    them in procs mode, the master alone in hosts mode) and watch them."""
     addresses = planned_addresses(cfg)
-    check_ports_free(addresses)
+    if cfg.mode == "procs":
+        check_ports_free(addresses)  # a hosts file may name remote addresses
     started = time.monotonic()
 
     result_path = os.path.join(out_dir, f"{run_key}_rep{rep_index}_result.json")
@@ -278,7 +283,7 @@ def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
         return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.PIPE)
 
-    procs = [spawn(i) for i in range(cfg.workers + 1)]
+    procs = [spawn(i) for i in range(len(addresses) if cfg.mode == "procs" else 1)]
 
     deadline_at = started + cfg.deadline + JOIN_GRACE
     error = None
@@ -325,7 +330,7 @@ def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
 
 
 def write_role_config(cfg: BenchConfig, addresses, rep_index: int, run_key: str,
-                      out_dir, result_path=None) -> str:
+                      out_dir, result_path) -> str:
     """The JSON a `run-role` invocation needs to join this repetition."""
     path = os.path.join(out_dir, f"{run_key}_rep{rep_index}_roles.json")
     payload = {
@@ -334,25 +339,11 @@ def write_role_config(cfg: BenchConfig, addresses, rep_index: int, run_key: str,
         "rep_index": rep_index,
         "run_key": run_key,
         "out_dir": str(out_dir),
-        "result_path": result_path or os.path.join(out_dir, f"{run_key}_rep{rep_index}_result.json"),
+        "result_path": result_path,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     return path
-
-
-def run_rep_hosts(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> CaseResult:
-    """Hosts mode: run the master here; workers join via `run-role` using the
-    role-config file this writes before the master starts waiting."""
-    addresses = planned_addresses(cfg)
-    started = time.monotonic()
-    write_role_config(cfg, addresses, rep_index, run_key, out_dir)
-    result = run_role_inline(cfg, 0, addresses, rep_index, run_key, out_dir)
-    dump_path = role_dump_path(out_dir, run_key, rep_index, 0)
-    result.elapsed = time.monotonic() - started
-    result.dump_paths = [dump_path]
-    result.node_visited_total = node_visited_from_dumps([dump_path])
-    return result
 
 
 # -- whole runs --------------------------------------------------------------------
@@ -366,43 +357,48 @@ def run_benchmark(cfg: BenchConfig, out_dir, run_key: str | None = None):
         if cfg.mode == "threads":
             dump_path = os.path.join(out_dir, f"{run_key}_rep{rep}.csv")
             results.append(run_rep_threads(cfg, rep, run_key, dump_path))
-        elif cfg.mode == "procs":
-            results.append(run_rep_procs(cfg, rep, run_key, out_dir))
         else:
-            results.append(run_rep_hosts(cfg, rep, run_key, out_dir))
+            results.append(run_rep_procs(cfg, rep, run_key, out_dir))
     manifest_path = os.path.join(out_dir, f"manifest_{run_key}.txt")
     write_manifest(manifest_path, cfg, run_key, results, out_dir)
     return results, manifest_path, run_key
 
 
+_MANIFEST_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+_MANIFEST_UNESCAPES = {"n": "\n", "r": "\r"}
+
+
 def write_manifest(path, cfg: BenchConfig, run_key: str, results, out_dir) -> None:
-    lines = [
-        f"run_key={run_key}",
-        f"case={cfg.case}",
-        f"workers={cfg.workers}",
-        f"size={cfg.size}",
-        f"strategy={cfg.strategy}",
-        f"distribution={cfg.distribution}",
-        f"reps={cfg.reps}",
-        f"seed={cfg.seed}",
-        f"threshold={cfg.sort_threshold}",
-        f"iters={cfg.ocean_iters}",
-        f"mode={cfg.mode}",
-        f"base_port={cfg.base_port}",
-        f"poll_interval_ms={cfg.poll_interval * 1000:g}",
-        f"deadline_s={cfg.deadline:g}",
+    """One key=value line per field; backslash escapes keep a multi-line
+    value (a role's traceback in a rep error) on its line."""
+    fields = [
+        ("run_key", run_key),
+        ("case", cfg.case),
+        ("workers", cfg.workers),
+        ("size", cfg.size),
+        ("strategy", cfg.strategy),
+        ("distribution", cfg.distribution),
+        ("reps", cfg.reps),
+        ("seed", cfg.seed),
+        ("threshold", cfg.sort_threshold),
+        ("iters", cfg.ocean_iters),
+        ("mode", cfg.mode),
+        ("base_port", cfg.base_port),
+        ("poll_interval_ms", f"{cfg.poll_interval * 1000:g}"),
+        ("deadline_s", f"{cfg.deadline:g}"),
     ]
     for i, r in enumerate(results):
         rel = [os.path.relpath(p, out_dir) for p in r.dump_paths]
-        lines.append(f"rep{i}.dumps={';'.join(rel)}")
-        lines.append(f"rep{i}.correct={'true' if r.correct else 'false'}")
-        lines.append(f"rep{i}.digest={r.digest}")
-        lines.append(f"rep{i}.node_visited={r.node_visited_total}")
-        lines.append(f"rep{i}.elapsed_s={r.elapsed:.3f}")
+        fields.append((f"rep{i}.dumps", ";".join(rel)))
+        fields.append((f"rep{i}.correct", "true" if r.correct else "false"))
+        fields.append((f"rep{i}.digest", r.digest))
+        fields.append((f"rep{i}.node_visited", r.node_visited_total))
+        fields.append((f"rep{i}.elapsed_s", f"{r.elapsed:.3f}"))
         if r.error:
-            lines.append(f"rep{i}.error={r.error}")
+            fields.append((f"rep{i}.error", r.error))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{key}={str(value).translate(_MANIFEST_ESCAPES)}\n"
+                      for key, value in fields)
 
 
 def parse_manifest(path) -> dict:
@@ -412,7 +408,7 @@ def parse_manifest(path) -> dict:
             line = line.strip()
             if line and "=" in line:
                 key, value = line.split("=", 1)
-                out[key] = value
+                out[key] = re.sub(r"\\(.)", lambda m: _MANIFEST_UNESCAPES.get(m[1], m[1]), value)
     return out
 
 
@@ -426,7 +422,7 @@ def parse_hosts_file(path) -> list[NodeAddress]:
                 continue
             name, _, addr = line.partition(" ")
             host, _, port = addr.strip().rpartition(":")
-            if not name or not host or not port.isdigit():
+            if not name or not host or not port.isdigit() or not 0 < int(port) <= 65535:
                 raise ValueError(f"bad hosts line: {raw.rstrip()}")
             hosts.append(NodeAddress(host, int(port), name))
     return hosts

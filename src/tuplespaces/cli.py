@@ -28,6 +28,7 @@ from .bench.runner import (
     run_benchmark,
     run_role_inline,
 )
+from .client import NodeAddress
 from .errors import ParseError, TupleSpaceError
 
 EXIT_OK = 0
@@ -129,22 +130,22 @@ def cmd_run_role(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError) as e:
-        print(f"error: bad role config: {e}", file=sys.stderr)
+        cfg = BenchConfig(**payload["config"])
+        addresses = [NodeAddress(a["host"], a["port"], a["name"]) for a in payload["addresses"]]
+        rep_index, run_key, out_dir, result_path = (
+            payload[k] for k in ("rep_index", "run_key", "out_dir", "result_path"))
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(f"error: bad role config: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
-    cfg = BenchConfig(**payload["config"])
-    from .client import NodeAddress
-    addresses = [NodeAddress(a["host"], a["port"], a["name"]) for a in payload["addresses"]]
     i = 0 if args.role == "master" else args.index + 1
     try:
-        result = run_role_inline(cfg, i, addresses, payload["rep_index"], payload["run_key"],
-                                 payload["out_dir"])
+        result = run_role_inline(cfg, i, addresses, rep_index, run_key, out_dir)
     except Exception as e:
         traceback.print_exc()
         print(f"role {role_name(i)} failed: {e}", file=sys.stderr)
         return EXIT_INFRA
     if i == 0:
-        with open(payload["result_path"], "w", encoding="utf-8") as fh:
+        with open(result_path, "w", encoding="utf-8") as fh:
             json.dump({"correct": result.correct, "digest": result.digest,
                        "detail": result.detail, "error": result.error}, fh)
         return EXIT_OK if result.correct else EXIT_FAILURE

@@ -254,14 +254,11 @@ def aggregate(paths) -> dict[str, MetricStats]:
     return {label: stats_of(label, vs) for label, vs in sorted(values.items())}
 
 
-def write_stats(path, stats, group: dict | None = None) -> None:
-    """Write the aggregate CSV; optional group columns prefix each row.
-
-    ``stats`` is either one group's ``{label: MetricStats}``, prefixed by the
-    values of ``group``, or a list of ``(group, stats)`` pairs written in
-    order under one header whose group columns are the first group's keys.
+def write_stats(path, groups) -> None:
+    """Write the aggregate CSV from a list of ``(group, {label: MetricStats})``
+    pairs, in order, under one header whose group columns are the first
+    group's keys; each row starts with its group's values.
     """
-    groups = [(group or {}, stats)] if isinstance(stats, dict) else stats
     columns = tuple(groups[0][0]) if groups else ()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(STATS_COMMENT + "\n")

@@ -14,15 +14,26 @@ import tuplespaces
 from tuplespaces import profiler
 from tuplespaces.cli import EXIT_FAILURE, EXIT_INFRA, EXIT_OK, EXIT_USAGE, main
 from tuplespaces.bench import password as password_mod
-from tuplespaces.bench.config import BenchConfig
+from tuplespaces.bench import runner
+from tuplespaces.bench.config import (
+    LOADED_STATUS,
+    READY_STATUS,
+    SEARCH_GROUP,
+    WORKER_FIELD,
+    BenchConfig,
+    CaseResult,
+)
 from tuplespaces.bench.runner import (
     parse_hosts_file,
     parse_manifest,
     run_benchmark,
+    write_manifest,
 )
+from tuplespaces.client import NodeAddress, RemoteSpace
 from tuplespaces.labels import ALL_LABELS
+from tuplespaces.tuples import make_tuple
 
-from util import find_free_base_port
+from util import find_free_base_port, raw_listener
 
 
 def run_cli(*argv):
@@ -69,6 +80,9 @@ def test_procs_requires_base_port(tmp_path):
     rc = run_cli("run", "--case", "password", "--workers", "1", "--size", "10",
                  "--mode", "procs", "--out", str(tmp_path))
     assert rc == EXIT_USAGE
+    rc = run_cli("run", "--case", "password", "--workers", "2", "--size", "10",
+                 "--mode", "procs", "--base-port", "65535", "--out", str(tmp_path))
+    assert rc == EXIT_USAGE  # worker ports past 65535
 
 
 def test_correctness_failure_exit_code(tmp_path, monkeypatch):
@@ -284,7 +298,7 @@ def test_procs_port_collision_is_infra_failure(tmp_path):
 
 
 def test_hosts_mode_round_trip(tmp_path):
-    """Master runs in-process; workers join via run-role from the config file."""
+    """The CLI spawns the master; workers join via run-role from the config file."""
     workers = 2
     base = find_free_base_port(workers + 1)
     hosts_path = tmp_path / "hosts.txt"
@@ -326,15 +340,66 @@ def test_hosts_mode_round_trip(tmp_path):
     assert manifest["mode"] == "hosts"
 
 
+def test_hosts_mode_mute_worker_hits_deadline(tmp_path, monkeypatch):
+    """A worker host that joins the barriers and then never replies fails the
+    rep with exit 3 once deadline + JOIN_GRACE is up."""
+    base = find_free_base_port(2)
+    hosts_path = tmp_path / "hosts.txt"
+    hosts_path.write_text(f"master 127.0.0.1:{base}\nworker0 127.0.0.1:{base + 1}\n")
+    out = tmp_path / "mute_out"
+    deadline, grace = 2.0, 1.0
+    monkeypatch.setattr(runner, "JOIN_GRACE", grace)
+
+    def read_forever(conn, reader):
+        while conn.recv(65536):
+            pass
+
+    outcome = {}
+
+    def run():
+        # matmul's master first sends worker0 a B row: a remote out that never returns
+        outcome["rc"] = run_cli("run", "--case", "matmul", "--workers", "1", "--size", "4",
+                                "--reps", "1", "--mode", "hosts", "--hosts", str(hosts_path),
+                                "--out", str(out), "--deadline-s", str(deadline))
+
+    with raw_listener(read_forever, port=base + 1):
+        started = time.monotonic()
+        cli = threading.Thread(target=run, daemon=True)
+        cli.start()
+        master = RemoteSpace.connect(NodeAddress("127.0.0.1", base, "master"), "worker0",
+                                     attempts=50)
+        try:
+            master.out(make_tuple(SEARCH_GROUP, WORKER_FIELD, READY_STATUS))
+            master.out(make_tuple(SEARCH_GROUP, WORKER_FIELD, LOADED_STATUS))
+            cli.join(deadline + grace + 15)
+        finally:
+            master.close()
+    elapsed = time.monotonic() - started
+    assert not cli.is_alive(), "hosts rep still running past deadline + grace"
+    assert outcome["rc"] == EXIT_INFRA
+    assert elapsed < deadline + grace + 5
+    assert "deadline exceeded" in manifest_of(out)["rep0.error"]
+
+
+def test_manifest_keeps_multiline_error(tmp_path):
+    cfg = BenchConfig(case="password", workers=1, size=10, reps=1)
+    error = "master wrote no result: Traceback (most recent call last):\n  x\\n\r\nOSError: taken"
+    path = tmp_path / "m.txt"
+    write_manifest(path, cfg, "k", [CaseResult(correct=False, error=error)], tmp_path)
+    assert len(path.read_text().splitlines()) == 20  # 14 run lines + 6 for the rep
+    assert parse_manifest(path)["rep0.error"] == error
+
+
 def test_hosts_file_parsing(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("# comment\nmaster 10.0.0.1:7000\nworker0 10.0.0.2:7001\n")
     hosts = parse_hosts_file(path)
     assert [(h.name, h.host, h.port) for h in hosts] == [
         ("master", "10.0.0.1", 7000), ("worker0", "10.0.0.2", 7001)]
-    path.write_text("bad-line-without-port\n")
-    with pytest.raises(ValueError):
-        parse_hosts_file(path)
+    for bad in ("bad-line-without-port", "master 127.0.0.1:70000", "master 127.0.0.1:0"):
+        path.write_text(bad + "\n")
+        with pytest.raises(ValueError):
+            parse_hosts_file(path)
 
 
 def test_hosts_count_mismatch_is_usage_error(tmp_path, capsys):
@@ -349,8 +414,9 @@ def test_hosts_count_mismatch_is_usage_error(tmp_path, capsys):
 def test_run_role_bad_config(tmp_path):
     bad = tmp_path / "nope.json"
     assert run_cli("run-role", "--config", str(bad), "--role", "worker") == EXIT_USAGE
-    bad.write_text("{not json")
-    assert run_cli("run-role", "--config", str(bad), "--role", "worker") == EXIT_USAGE
+    for text in ("{not json", "{}"):
+        bad.write_text(text)
+        assert run_cli("run-role", "--config", str(bad), "--role", "worker") == EXIT_USAGE
 
 
 def test_no_command_prints_usage(capsys):

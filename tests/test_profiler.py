@@ -426,7 +426,7 @@ def test_write_stats_schema(tmp_path):
     _write_dump(path, [("lab", "interval", v) for v in (1, 2, 3, 4)])
     stats = aggregate([path])
     out = tmp_path / "stats.csv"
-    write_stats(out, stats)
+    write_stats(out, [({}, stats)])
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#") and "n-1" in lines[0]
     assert lines[1] == "label,n,mean,stddev,min,max"
@@ -434,7 +434,7 @@ def test_write_stats_schema(tmp_path):
     assert row[0] == "lab" and int(row[1]) == 4
     assert float(row[2]) == 2.5
     assert float(row[3]) == pytest.approx(1.2909944487358056, abs=1e-9)
-    write_stats(out, stats, group={"case": "c", "workers": 3})
+    write_stats(out, [({"case": "c", "workers": 3}, stats)])
     lines = out.read_text().splitlines()
     assert lines[1] == "case,workers,label,n,mean,stddev,min,max"
     assert lines[2].startswith("c,3,lab,4,2.5,")

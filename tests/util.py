@@ -148,21 +148,25 @@ def connected(server: SpaceServer, name: str = "cli"):
 
 
 @contextmanager
-def raw_peer(script=None):
-    """A RemoteSpace connected to a hand-driven server.
+def raw_listener(script=None, port: int = 0):
+    """A hand-driven server on 127.0.0.1:port (0 picks a free one).
 
     The server thread accepts one connection, answers its HELLO and then runs
     `script(conn, reader)` on the accepted socket and its FrameReader, if
-    given, and returns.  Yields the client, the server thread and the list
-    holding the accepted socket; everything is closed on exit.
+    given, and returns.  Yields the bound port, the server thread and the
+    list holding the accepted socket; everything is closed on exit.
     """
     listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind(("127.0.0.1", port))
     listener.listen(1)
     accepted = []
 
     def serve():
-        conn, _ = listener.accept()
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return  # closed before anybody connected
         accepted.append(conn)
         reader = wire.FrameReader(conn)
         wire.read_frame(reader)
@@ -172,15 +176,27 @@ def raw_peer(script=None):
 
     th = threading.Thread(target=serve, daemon=True)
     th.start()
-    cl = RemoteSpace.connect(NodeAddress("127.0.0.1", listener.getsockname()[1], "raw"))
     try:
-        yield cl, th, accepted
+        yield listener.getsockname()[1], th, accepted
     finally:
-        cl.close()
+        if not accepted:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes an accept() that never got a peer
         listener.close()
         th.join(5)
         for conn in accepted:
             conn.close()
+
+
+@contextmanager
+def raw_peer(script=None):
+    """A RemoteSpace connected to a raw_listener; yields the client, the
+    server thread and the list holding the accepted socket."""
+    with raw_listener(script) as (port, th, accepted):
+        cl = RemoteSpace.connect(NodeAddress("127.0.0.1", port, "raw"))
+        try:
+            yield cl, th, accepted
+        finally:
+            cl.close()
 
 
 def find_free_base_port(count: int, start: int = 20011, end: int = 60000) -> int:
