@@ -25,7 +25,6 @@ FOUND_NAME = "foundValue"
 HASHSET_NAME = "hashSet"
 UNSORTED_NAME = "unsorted"
 SORTED_NAME = "sorted"
-SORT_COMPLETE_NAME = "sort_complete"
 PANEL_NAME = "panel"
 BORDER_NAME = "border"
 RESULT_PANEL_NAME = "result_panel"

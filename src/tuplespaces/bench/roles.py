@@ -55,7 +55,6 @@ class RoleHandles:
     worker_remotes: dict[int, RemoteSpace] = field(default_factory=dict)
     directory: PeerDirectory | None = None
     stats: SuccessStats | None = None
-    _run_seq: int = 0
     runtime_t0: int = 0  # master: perf_counter_ns() when TotalRuntime starts
 
     def remaining(self) -> float:
@@ -66,10 +65,6 @@ class RoleHandles:
 
     def _deadline_exceeded(self) -> DeadlineExceeded:
         return DeadlineExceeded(f"{self.role_name}: repetition deadline exceeded")
-
-    def alloc_run_id(self) -> int:
-        self._run_seq += 1
-        return ((self.worker_id or 0) << 32) | self._run_seq
 
     def close_remotes(self) -> None:
         if self.master is not None:

@@ -23,7 +23,8 @@ Roles are known by position: role 0 is the master, role k + 1 is worker k.
 Every topology runs role i through one function, `_connect_and_run`, which
 connects it to every other role (the master first, then the workers by
 index) and runs its part of the case.  Procs and hosts roles name their dump
-files by position too (`role_dump_path`).
+files by position too (`role_file`), and so do the stderr files that
+`run_rep_procs` gives the roles it spawns.
 
 One repetition = fresh spaces, fresh connections, fresh profiler state.  The
 rep seed is seed + rep_index, so repetitions have fresh inputs that remain
@@ -77,8 +78,10 @@ def role_name(i: int) -> str:
     return "master" if i == 0 else f"worker{i - 1}"
 
 
-def role_dump_path(out_dir, run_key: str, rep_index: int, i: int) -> str:
-    return os.path.join(out_dir, f"{run_key}_rep{rep_index}_{role_name(i)}.csv")
+def role_file(out_dir, run_key: str, rep_index: int, i: int, ext: str) -> str:
+    """Role i's file of this rep: its dump ("csv") or its stderr ("err")."""
+    return os.path.join(out_dir, f"{run_key}_rep{rep_index}_{role_name(i)}.{ext}")
+
 
 
 def role_names(workers: int) -> list[str]:
@@ -125,14 +128,14 @@ def _handles(cfg: BenchConfig, i: int, rep_index: int, run_key: str, space: Loca
                        space, deadline_at, worker_id=i - 1 if i else None)
 
 
-def _connect_and_run(h: RoleHandles, i: int, addresses, attempts: int):
+def _connect_and_run(h: RoleHandles, i: int, addresses):
     """Connect role i to every other role, master first, then run its part of
     the case; returns what the master returns.  Each connection joins h as it
     opens, so the caller's h.close_remotes() also closes those of a role whose
     later connect failed."""
     for j, addr in enumerate(addresses):
         if j != i:
-            remote = RemoteSpace.connect(addr, h.role_name, attempts=attempts)
+            remote = RemoteSpace.connect(addr, h.role_name, attempts=PROC_CONNECT_ATTEMPTS)
             if j == 0:
                 h.master = remote
             else:
@@ -184,7 +187,7 @@ def _run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) 
     def body(i: int):
         h = _handles(cfg, i, rep_index, run_key, spaces[i], deadline_at)
         try:
-            outcome[i] = _connect_and_run(h, i, addresses, attempts=5)
+            outcome[i] = _connect_and_run(h, i, addresses)
         except BaseException as e:  # deliberate: any role failure fails the rep
             failures[names[i]] = e
         finally:
@@ -230,7 +233,7 @@ def _run_rep_threads(cfg: BenchConfig, rep_index: int, run_key: str, dump_path) 
 def run_role_inline(cfg: BenchConfig, i: int, addresses, rep_index: int, run_key: str,
                     out_dir):
     """Run role i to completion in this process and dump its records to
-    role_dump_path(); returns the master's result.
+    role_file(); returns the master's result.
 
     Only the `run-role` subcommand calls this: the roles that run_rep_procs
     spawns and the hosts-mode workers started on their own hosts.
@@ -245,7 +248,7 @@ def run_role_inline(cfg: BenchConfig, i: int, addresses, rep_index: int, run_key
     server = SpaceServer(space, addresses[i].host, addresses[i].port, name).start()
     h = _handles(cfg, i, rep_index, run_key, space, deadline_at)
     try:
-        result = _connect_and_run(h, i, addresses, PROC_CONNECT_ATTEMPTS)
+        result = _connect_and_run(h, i, addresses)
         if i == 0:
             for remote in h.worker_remotes.values():
                 try:
@@ -256,7 +259,7 @@ def run_role_inline(cfg: BenchConfig, i: int, addresses, rep_index: int, run_key
             space.in_(template(SHUTDOWN_NAME), timeout=max(deadline_at - time.monotonic(), 0.1))
     finally:
         h.close_remotes()
-        profiler.dump(role_dump_path(out_dir, run_key, rep_index, i))
+        profiler.dump(role_file(out_dir, run_key, rep_index, i, "csv"))
         server.stop()
     return result
 
@@ -280,8 +283,13 @@ def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
         role, index = ("master", 0) if i == 0 else ("worker", i - 1)
         argv = [sys.executable, "-m", "tuplespaces", "run-role",
                 "--config", config_path, "--role", role, "--index", str(index)]
-        return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE)
+        with open(role_file(out_dir, run_key, rep_index, i, "err"), "wb") as err:
+            return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+
+    def last_stderr_line(i: int) -> str:
+        with open(role_file(out_dir, run_key, rep_index, i, "err"), encoding="utf-8",
+                  errors="replace") as fh:
+            return fh.read().rstrip().rpartition("\n")[2]
 
     procs = [spawn(i) for i in range(len(addresses) if cfg.mode == "procs" else 1)]
 
@@ -291,7 +299,7 @@ def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
         for i, p in enumerate(procs[1:], 1):
             rc = p.poll()
             if rc is not None and rc != 0:
-                error = f"{role_name(i)} exited with code {rc}"
+                error = f"{role_name(i)} exited with code {rc}: {last_stderr_line(i)}"
                 break
         if error or time.monotonic() > deadline_at:
             error = error or "repetition deadline exceeded"
@@ -309,7 +317,7 @@ def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
             p.kill()
             p.wait()
 
-    dump_paths = [path for path in (role_dump_path(out_dir, run_key, rep_index, i)
+    dump_paths = [path for path in (role_file(out_dir, run_key, rep_index, i, "csv")
                                     for i in range(len(procs))) if os.path.exists(path)]
     result = CaseResult(correct=False, error=error)
     if error is None and os.path.exists(result_path):
@@ -318,11 +326,8 @@ def run_rep_procs(cfg: BenchConfig, rep_index: int, run_key: str, out_dir) -> Ca
         result = CaseResult(correct=data["correct"], digest=data["digest"],
                             detail=data["detail"], error=data.get("error"))
     elif error is None:
-        stderr = procs[0].stderr.read().decode("utf-8", "replace") if procs[0].stderr else ""
-        result = CaseResult(correct=False, error=f"master wrote no result: {stderr[-500:]}")
-    for p in procs:
-        if p.stderr is not None:
-            p.stderr.close()
+        result = CaseResult(correct=False,
+                            error=f"master wrote no result: {last_stderr_line(0)}")
     result.elapsed = time.monotonic() - started
     result.dump_paths = dump_paths
     result.node_visited_total = node_visited_from_dumps(dump_paths)

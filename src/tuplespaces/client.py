@@ -59,6 +59,7 @@ class NodeAddress:
 
 CONNECT_ATTEMPTS = 5
 CONNECT_RETRY_DELAY = 0.2
+CONNECT_TIMEOUT = 10.0  # seconds for one TCP connect, and for the HELLO reply
 
 
 class PendingReply:
@@ -128,7 +129,8 @@ class RemoteSpace:
             if attempt:
                 time.sleep(retry_delay)
             try:
-                sock = socket.create_connection((address.host, address.port), timeout=10.0)
+                sock = socket.create_connection((address.host, address.port),
+                                                timeout=CONNECT_TIMEOUT)
                 break
             except OSError as e:
                 last_err = e
@@ -146,7 +148,11 @@ class RemoteSpace:
 
     def _handshake(self) -> None:
         self._sock.sendall(wire.build_frame(wire.MSG_HELLO, 0, wire.pack_hello(self.client_name)))
-        msg_type, _, body = wire.read_frame(self._reader)
+        self._reader.deadline = time.monotonic() + CONNECT_TIMEOUT
+        frame = wire.read_frame(self._reader)
+        if frame is None:
+            raise Unreachable(f"{self.address} sent no HELLO reply within {CONNECT_TIMEOUT:g}s")
+        msg_type, _, body = frame
         if msg_type == wire.MSG_REPLY_ERR:
             code, msg = wire.unpack_err(body)
             raise VersionMismatch(f"server rejected handshake: {msg}")

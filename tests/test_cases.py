@@ -125,13 +125,18 @@ def test_sort_already_sorted_input(tmp_path, monkeypatch):
     assert r.correct and r.digest == digest_ints(data)
 
 
-def test_sort_chunked_runs_reassembled(tmp_path, monkeypatch):
+def test_sort_chunked_input_and_runs_merge_as_pieces(tmp_path, monkeypatch):
+    # The master ships 120 elements as 18 slices of at most 7; each worker
+    # run (at most 7, under the threshold) ships as pieces of at most 3.
     monkeypatch.setattr(sorting_mod, "CHUNK_ELEMENTS", 7)
+    send = sorting_mod.send_sorted_run
+    monkeypatch.setattr(sorting_mod, "send_sorted_run", lambda h, run, cap=None: send(h, run, 3))
     cfg = BenchConfig(case="sort", workers=2, size=120, sort_threshold=40, reps=1,
                       seed=5, deadline=30)
     r = run_one(cfg, tmp_path=tmp_path)
     assert r.correct
     assert r.detail["elements"] == 120
+    assert r.detail["runs"] == 17 * 3 + 1  # every piece is a run of its own
 
 
 def test_sort_duplicates_and_int64_extremes(tmp_path, monkeypatch):
@@ -147,12 +152,18 @@ def test_sort_duplicates_and_int64_extremes(tmp_path, monkeypatch):
 
 def test_sort_unsorted_run_fails_the_oracle(tmp_path, monkeypatch):
     send = sorting_mod.send_sorted_run
-    monkeypatch.setattr(sorting_mod, "send_sorted_run",
-                        lambda h, run, cap=None: send(h, run[::-1], cap))
+
+    def send_reversed(cap):
+        return lambda h, run, _cap=None: send(h, run[::-1], cap)
+
     cfg = BenchConfig(case="sort", workers=1, size=64, sort_threshold=16, reps=1,
                       seed=3, deadline=30)
-    r = run_one(cfg, tmp_path=tmp_path)
-    assert r.detail["conserved"] and not r.correct
+    # cap 3: each reversed run of 16 ships as six pieces, each still descending
+    for cap in (None, 3):
+        monkeypatch.setattr(sorting_mod, "send_sorted_run", send_reversed(cap))
+        r = run_one(cfg, tmp_path=tmp_path, key=f"cap{cap}")
+        assert r.detail["conserved"] and not r.correct
+        assert r.detail["runs"] == (4 if cap is None else 4 * 6)
 
 
 def test_sort_single_worker_visited_formula(tmp_path):

@@ -381,6 +381,47 @@ def test_hosts_mode_mute_worker_hits_deadline(tmp_path, monkeypatch):
     assert "deadline exceeded" in manifest_of(out)["rep0.error"]
 
 
+def test_hosts_mode_master_port_taken_quotes_its_stderr(tmp_path):
+    """A master that cannot bind fails the rep with the last line of its
+    stderr, which stays whole in the role's .err file."""
+    base = find_free_base_port(2)
+    hosts_path = tmp_path / "hosts.txt"
+    hosts_path.write_text(f"master 127.0.0.1:{base}\nworker0 127.0.0.1:{base + 1}\n")
+    out = tmp_path / "taken_out"
+    blocker = socket.socket()
+    blocker.bind(("127.0.0.1", base))
+    blocker.listen(1)
+    try:
+        rc = run_cli("run", "--case", "password", "--workers", "1", "--size", "10",
+                     "--reps", "1", "--mode", "hosts", "--hosts", str(hosts_path),
+                     "--out", str(out), "--deadline-s", "20")
+    finally:
+        blocker.close()
+    assert rc == EXIT_INFRA
+    error = manifest_of(out)["rep0.error"]
+    assert error.startswith("master wrote no result: role master failed: cannot bind"), error
+    [err_file] = [n for n in os.listdir(out) if n.endswith("_rep0_master.err")]
+    assert "Traceback (most recent call last):" in (out / err_file).read_text()
+
+
+def test_procs_worker_failure_quotes_its_stderr(tmp_path, monkeypatch):
+    base = find_free_base_port(2)
+    monkeypatch.setattr(runner, "check_ports_free", lambda addresses: None)
+    blocker = socket.socket()
+    blocker.bind(("127.0.0.1", base + 1))  # worker0 cannot bind
+    blocker.listen(1)
+    out = tmp_path / "worker_out"
+    try:
+        rc = run_cli("run", "--case", "password", "--workers", "1", "--size", "10",
+                     "--reps", "1", "--mode", "procs", "--base-port", str(base),
+                     "--out", str(out), "--deadline-s", "20")
+    finally:
+        blocker.close()
+    assert rc == EXIT_INFRA
+    error = manifest_of(out)["rep0.error"]
+    assert error.startswith("worker0 exited with code 3: role worker0 failed: cannot bind"), error
+
+
 def test_manifest_keeps_multiline_error(tmp_path):
     cfg = BenchConfig(case="password", workers=1, size=10, reps=1)
     error = "master wrote no result: Traceback (most recent call last):\n  x\\n\r\nOSError: taken"

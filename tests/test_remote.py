@@ -28,6 +28,7 @@ from tuplespaces import (
     search_notify,
     template,
 )
+from tuplespaces import client as client_mod
 from tuplespaces import wire
 from tuplespaces.rng import SplitMix64
 
@@ -163,6 +164,31 @@ def test_connect_unreachable_after_retries():
         assert time.perf_counter() - t0 >= 0.09  # at least two retry delays
     finally:
         holder.close()
+
+
+def test_connect_gives_up_on_a_mute_peer(monkeypatch):
+    """A peer that takes the connection but never answers HELLO makes
+    connect raise Unreachable once CONNECT_TIMEOUT passes."""
+    monkeypatch.setattr(client_mod, "CONNECT_TIMEOUT", 0.2)
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)  # the kernel completes the connect; nobody accepts it
+    outcome = {}
+
+    def connect():
+        try:
+            RemoteSpace.connect(NodeAddress("127.0.0.1", listener.getsockname()[1], "mute"))
+        except Exception as e:
+            outcome["error"] = e
+
+    th = threading.Thread(target=connect, daemon=True)
+    try:
+        th.start()
+        th.join(5)
+        assert not th.is_alive(), "connect still waiting for the HELLO reply"
+        assert isinstance(outcome.get("error"), Unreachable)
+    finally:
+        listener.close()
 
 
 def test_address_in_use():
